@@ -22,10 +22,10 @@ from .errors import (
     MissingTrueCostError,
     OracleBoundExceededError,
 )
-from .estimators import Clock, EstimatorRegistry
+from .estimators import EstimatorRegistry
 from .intervals import INF, TOLERANCE
 from .metrics import MetricsReport
-from .task import CostTable, PlanningTask, apply, is_goal
+from .task import CostTable, PlanningTask, is_goal
 
 #: Deterministic planning-time proxy in simulated mode: search effort is
 #: charged per node expansion so machine outputs are reproducible.
@@ -38,16 +38,12 @@ HEURISTICS = ("blind", "hmax")
 class SearchConfig:
     epsilon: float = 1.0
     heuristic: str = "hmax"
-    refine_budget_ms: Optional[float] = None
-    tie_break: str = "fifo"
 
     def __post_init__(self):
         if self.epsilon < 1.0:
             raise ValueError("epsilon must be >= 1")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
-        if self.tie_break != "fifo":
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -73,11 +69,28 @@ class _HmaxEvaluator:
 
     Generalized Dijkstra over facts: an action fires when its last
     precondition is settled, at the max of its precondition costs.
+
+    One evaluator serves a whole asec episode. Per state it caches the h
+    value and a support mask: a bitmask over action ids holding the best
+    supporters on the derivation of every goal fact it reached. Each call
+    first reads the ids that ``CostTable.refine`` appended to
+    ``table.raised`` since the previous call, copies those lbs, and drops
+    every cached state whose mask holds one of them. A kept value is exactly
+    what a fresh computation returns, not merely admissible: lbs only rise
+    (refinement intersects intervals) and h_max is monotone in them, so no
+    fact cost falls; a goal fact whose derivation holds no raised action
+    still has that derivation, so its cost cannot rise either, and since
+    IEEE ``+`` and ``max`` are monotone the fresh run yields the very same
+    float. INF (relaxed unreachability does not depend on lbs) and h = 0
+    for a goal inside the state carry an empty mask and are never dropped.
     """
 
     def __init__(self, task: PlanningTask, table: CostTable):
         self.task = task
+        self.table = table
         self.lbs = [table.lb(a.id) for a in task.actions]
+        self._raised_seen = len(table.raised)
+        self._cache: dict = {}  # state -> (h, support mask)
         self.by_pre: dict = {}
         self.no_pre = []
         for action in task.actions:
@@ -87,10 +100,29 @@ class _HmaxEvaluator:
                 self.by_pre.setdefault(f, []).append(action)
 
     def __call__(self, state) -> float:
+        if len(self.table.raised) > self._raised_seen:
+            self._drop_stale()
+        entry = self._cache.get(state)
+        if entry is None:
+            entry = self._cache[state] = self._evaluate(state)
+        return entry[0]
+
+    def _drop_stale(self) -> None:
+        raised = self.table.raised
+        stale = 0
+        for action_id in raised[self._raised_seen:]:
+            self.lbs[action_id] = self.table.lb(action_id)
+            stale |= 1 << action_id
+        self._raised_seen = len(raised)
+        self._cache = {s: e for s, e in self._cache.items() if not e[1] & stale}
+
+    def _evaluate(self, state) -> tuple:
+        """(h, support mask) of a state, computed from scratch."""
         goal = self.task.goal
         if goal <= state:
-            return 0.0
+            return 0.0, 0
         cost = dict.fromkeys(state, 0.0)
+        supporter = {}
         remaining = {}
         heap = [(0.0, f) for f in state]
         heapq.heapify(heap)
@@ -99,6 +131,7 @@ class _HmaxEvaluator:
             for f in action.add:
                 if cost.get(f, INF) > through:
                     cost[f] = through
+                    supporter[f] = action
                     heapq.heappush(heap, (through, f))
         unsettled_goals = len(goal - state)
         settled = set()
@@ -110,7 +143,7 @@ class _HmaxEvaluator:
             if fact in goal:
                 unsettled_goals -= 1
                 if unsettled_goals == 0:
-                    return c
+                    return c, _support_mask(goal, supporter)
             for action in self.by_pre.get(fact, ()):
                 left = remaining.get(action.id)
                 if left is None:
@@ -122,8 +155,24 @@ class _HmaxEvaluator:
                     for f in action.add:
                         if cost.get(f, INF) > through:
                             cost[f] = through
+                            supporter[f] = action
                             heapq.heappush(heap, (through, f))
-        return INF
+        return INF, 0
+
+
+def _support_mask(goal, supporter: dict) -> int:
+    """Bitmask of the supporter actions reachable back from the goal facts."""
+    mask = 0
+    stack = [f for f in goal if f in supporter]
+    seen = set(stack)
+    while stack:
+        action = supporter[stack.pop()]
+        mask |= 1 << action.id
+        for f in action.pre:
+            if f in supporter and f not in seen:
+                seen.add(f)
+                stack.append(f)
+    return mask
 
 
 def hmax(state, task: PlanningTask, table: CostTable) -> float:
@@ -238,16 +287,19 @@ def asec(
 ) -> tuple:
     """A* with synchronous (on-demand) estimation of costs.
 
-    Restarts the lower-bound search after each refinement; memoized
-    estimator results persist across restarts, so total invocations are
-    bounded by the total chain length.
+    Runs a fresh lower-bound A* after each refinement. One heuristic serves
+    the whole episode: h_max keeps every value the refinement cannot have
+    changed (see ``_HmaxEvaluator``). Memoized estimator results persist
+    across replans, so total invocations are bounded by the total chain
+    length.
     """
     registry = registry or EstimatorRegistry(task)
     table = registry.table
+    heuristic = make_heuristic(config.heuristic, task, table)
     expansions = 0
     started = time.perf_counter()
     while True:
-        plan, exp = astar_lb(task, table, make_heuristic(config.heuristic, task, table))
+        plan, exp = astar_lb(task, table, heuristic)
         expansions += exp
         if plan is None:
             cert = PlanCertificate(None, INF, INF, config.epsilon, "no-plan")

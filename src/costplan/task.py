@@ -90,12 +90,15 @@ class CostTable:
 
     Refinement only narrows. An estimator reply that would widen an
     interval is clamped to the intersection (with a warning); an empty
-    intersection is a hard model-inconsistency error.
+    intersection is a hard model-inconsistency error. ``raised`` is an
+    append-only log of action ids, one entry per refinement that strictly
+    raised that action's lb; readers keep their own position in it.
     """
 
     def __init__(self, task: PlanningTask):
         self._intervals = [spec.prior for spec in task.chains]
         self.next_level = [0] * len(task.chains)
+        self.raised: list[int] = []
 
     def interval(self, action_id: int) -> CostInterval:
         return self._intervals[action_id]
@@ -117,6 +120,8 @@ class CostTable:
                 "action %d: estimator interval [%s, %s] would widen [%s, %s]; clamped",
                 action_id, incoming.lb, incoming.ub, current.lb, current.ub,
             )
+        if narrowed.lb > current.lb:
+            self.raised.append(action_id)
         self._intervals[action_id] = narrowed
         return narrowed
 

@@ -1,5 +1,7 @@
 """Shared builders for hand-constructed tasks and randomized suites."""
 
+import random
+
 from costplan.bench import gen_gridworld, gen_logistics, synthetic_manifest_for
 from costplan.estimators import SyntheticConfig
 from costplan.intervals import INF, CostInterval
@@ -61,3 +63,19 @@ def suite_instance(index, seed, config=None):
         )
     manifest = synthetic_manifest_for(domain, problem, seed, config)
     return ground(domain, problem, manifest, name=f"suite{index}-s{seed}")
+
+
+def acceptance_instance(index, seed):
+    """Mixed gridworld/logistics instance, state space well under 10^4."""
+    rng = random.Random(f"acc-{index}-{seed}")
+    if index % 2 == 0:
+        rows = rng.randint(3, 5)
+        cols = rng.randint(3, 5)
+        domain, problem = gen_gridworld(rows, cols, seed=seed)
+    else:
+        domain, problem = gen_logistics(
+            trucks=rng.randint(1, 2), cities=rng.randint(2, 3),
+            packages=rng.randint(1, 2), seed=seed,
+        )
+    manifest = synthetic_manifest_for(domain, problem, seed, SyntheticConfig(levels=3))
+    return ground(domain, problem, manifest, name=f"acc{index}-s{seed}")

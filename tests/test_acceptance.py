@@ -33,27 +33,11 @@ from costplan.pddl import (
 from costplan.remote import MockEstimatorServer, RemoteEstimatorClient
 from costplan.search import SearchConfig, asec, astar_offline, oracle_optimal
 
-from helpers import make_task
+from helpers import acceptance_instance, make_task
 
 EPSILONS = (1.0, 1.1, 1.5, 2.0)
 N_INSTANCES = 200
 SUITE_CONFIG = SyntheticConfig(levels=3, exact_final=True)
-
-
-def _instance(index, seed):
-    """Mixed gridworld/logistics instance, state space well under 10^4."""
-    rng = random.Random(f"acc-{index}-{seed}")
-    if index % 2 == 0:
-        rows = rng.randint(3, 5)
-        cols = rng.randint(3, 5)
-        domain, problem = gen_gridworld(rows, cols, seed=seed)
-    else:
-        domain, problem = gen_logistics(
-            trucks=rng.randint(1, 2), cities=rng.randint(2, 3),
-            packages=rng.randint(1, 2), seed=seed,
-        )
-    manifest = synthetic_manifest_for(domain, problem, seed, SUITE_CONFIG)
-    return ground(domain, problem, manifest, name=f"acc{index}-s{seed}")
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +46,7 @@ def suite_runs():
     started = time.perf_counter()
     runs = []
     for index in range(N_INSTANCES):
-        task = _instance(index, seed=index)
+        task = acceptance_instance(index, seed=index)
         c_star = oracle_optimal(task, state_bound=10**4)
         for eps in EPSILONS:
             cert, report = asec(task, SearchConfig(epsilon=eps))

@@ -1,12 +1,16 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from costplan import search
+from costplan.bench import gen_gridworld, synthetic_manifest_for
 from costplan.errors import MissingTrueCostError, OracleBoundExceededError
 from costplan.estimators import EstimatorRegistry, SyntheticConfig
 from costplan.intervals import INF, TOLERANCE
+from costplan.pddl import ground
 from costplan.search import (
     SearchConfig,
     asec,
@@ -19,7 +23,7 @@ from costplan.search import (
 )
 from costplan.task import CostTable
 
-from helpers import make_task, suite_instance
+from helpers import acceptance_instance, make_task, suite_instance
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +124,95 @@ def _dijkstra_cost(task, table, start):
                     best[succ] = g2
                     heapq.heappush(heap, (g2, next(counter), succ))
     return INF
+
+
+# ---------------------------------------------------------------------------
+# h_max reuse across refinements: the episode's evaluator keeps cached values
+# only where a fresh computation would return the very same float
+
+def _nested_chain(step):
+    """Three nested levels whose lbs rise by ``step`` per level."""
+    return [(1.0, (step, 9.0)), (2.0, (2 * step, 7.0)), (4.0, (3 * step, 3 * step))]
+
+
+def _two_goal_task():
+    # "spawn" has no preconditions; "join" needs facts from two supporters
+    return make_task(
+        [
+            ("spawn", set(), {1}, set(), _nested_chain(1.0)),
+            ("a", {0}, {2}, set(), _nested_chain(0.5)),
+            ("b", {1}, {3}, set(), _nested_chain(2.0)),
+            ("c", {2}, {3}, set(), _nested_chain(1.5)),
+            ("join", {1, 2}, {4}, set(), _nested_chain(0.25)),
+            ("d", {0}, {4}, set(), _nested_chain(2.0)),
+        ],
+        goal={3, 4},
+        name="two-goal",
+    )
+
+
+def _grid_5x5(seed):
+    domain, problem = gen_gridworld(5, 5, seed=seed)
+    manifest = synthetic_manifest_for(domain, problem, seed, SyntheticConfig())
+    return ground(domain, problem, manifest, name=f"grid5-s{seed}")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: suite_instance(0, seed=3),  # gridworld
+        lambda: suite_instance(1, seed=3),  # logistics, one package
+        lambda: suite_instance(5, seed=3),  # logistics, two goal facts
+        lambda: _grid_5x5(seed=4),
+        _two_goal_task,
+    ],
+    ids=["suite-grid", "suite-logistics", "suite-logistics-2goal", "grid5x5", "two-goal"],
+)
+def test_persistent_hmax_equals_fresh_after_each_refinement(build):
+    task = build()
+    rng = random.Random(task.name)
+    registry = EstimatorRegistry(task)
+    table = registry.table
+    evaluator = make_heuristic("hmax", task, table)
+    computed = []
+    evaluate = evaluator._evaluate
+    evaluator._evaluate = lambda state: computed.append(state) or evaluate(state)
+    touched = set()
+    calls = 0
+
+    def recording(state):
+        touched.add(state)
+        return evaluator(state)
+
+    for _ in range(60):
+        plan, _ = astar_lb(task, table, recording)
+        for state in touched:
+            calls += 1
+            assert evaluator(state) == hmax(state, task, table)
+        # half the refinements hit the current plan, as asec's do
+        pool = list(plan or ()) if rng.random() < 0.5 else range(task.n_actions)
+        refinable = [a for a in pool if registry.refinable(a)] or [
+            a for a in range(task.n_actions) if registry.refinable(a)
+        ]
+        if not refinable:
+            break
+        registry.invoke_next(rng.choice(refinable))
+    assert len(computed) < calls  # values really were reused
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.5])
+def test_asec_shared_hmax_matches_fresh_per_replan(monkeypatch, eps):
+    tasks = [acceptance_instance(i, seed=i) for i in range(6)] + [_grid_5x5(seed=2)]
+    shared = [asec(task, SearchConfig(epsilon=eps)) for task in tasks]
+    monkeypatch.setattr(
+        search, "make_heuristic", lambda name, task, table: lambda s: hmax(s, task, table)
+    )
+    for task, (cert, report) in zip(tasks, shared):
+        fresh_cert, fresh_report = asec(task, SearchConfig(epsilon=eps))
+        # plan, [lb, ub] and verdict; the report holds the ledger and, in
+        # simulated mode, the expansion count as t_planning_ms
+        assert cert == fresh_cert
+        assert report == fresh_report
 
 
 # ---------------------------------------------------------------------------

@@ -79,3 +79,15 @@ class TestCostTable:
             table.refine(0, CostInterval(*iv))
             widths.append(table.interval(0).width)
         assert all(b <= a for a, b in zip(widths, widths[1:]))
+
+    def test_raised_logs_only_strict_lb_rises(self):
+        table = self._table()
+        table.refine(0, CostInterval(0.0, 8.0))  # ub-only narrowing
+        assert table.raised == []
+        table.refine(0, CostInterval(2.0, 8.0))
+        assert table.raised == [0]
+        table.refine(0, CostInterval(2.0, 6.0))  # equal lb
+        table.refine(0, CostInterval(1.0, 9.0))  # widening, clamped
+        assert table.raised == [0]
+        table.refine(0, CostInterval(3.0, 6.0))
+        assert table.raised == [0, 0]
