@@ -15,9 +15,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from costplan.bench import gen_gridworld, synthetic_manifest_for, _record
+from costplan.bench import gen_gridworld, synthetic_manifest_for
 from costplan.estimators import SyntheticConfig
-from costplan.metrics import compare, emit_report, t_offline_modeling
+from costplan.metrics import RunRecord, compare, emit_report, t_offline_modeling
 from costplan.pddl import ground
 from costplan.search import SearchConfig, asec, astar_offline
 
@@ -42,8 +42,10 @@ def main(argv=None) -> int:
                 sc = SearchConfig(epsilon=eps, heuristic="hmax")
                 cert_dyn, rep_dyn = asec(task, sc)
                 cert_off, rep_off = astar_offline(task, sc)
-                records.append(_record(instance, "asec", eps, cert_dyn, rep_dyn, task))
-                records.append(_record(instance, "offline", eps, cert_off, rep_off, task))
+                records += [
+                    RunRecord.from_episode(instance, "asec", eps, cert_dyn, rep_dyn, task),
+                    RunRecord.from_episode(instance, "offline", eps, cert_off, rep_off, task),
+                ]
                 comp = compare(rep_dyn, rep_off)
                 comparisons[f"{instance}@eps={eps}"] = comp
                 ratio = rep_dyn.t_modeling_ms / t_offline_modeling(manifest)

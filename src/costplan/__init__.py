@@ -4,7 +4,7 @@ from .intervals import INF, TOLERANCE, CostInterval, accumulate
 from .task import CostTable, Fact, GroundAction, PlanningTask, State, apply, is_goal
 from .manifest import EstimatorManifest, load_manifest, parse_manifest
 from .pddl import ground, parse_domain, parse_problem
-from .estimators import Clock, EstimatorRegistry, SyntheticConfig, generate_synthetic
+from .estimators import EstimatorRegistry, SyntheticConfig, generate_synthetic
 from .search import (
     PlanCertificate,
     SearchConfig,
@@ -21,7 +21,7 @@ __all__ = [
     "CostTable", "Fact", "GroundAction", "PlanningTask", "State", "apply", "is_goal",
     "EstimatorManifest", "load_manifest", "parse_manifest",
     "ground", "parse_domain", "parse_problem",
-    "Clock", "EstimatorRegistry", "SyntheticConfig", "generate_synthetic",
+    "EstimatorRegistry", "SyntheticConfig", "generate_synthetic",
     "PlanCertificate", "SearchConfig", "asec", "astar_offline", "hmax",
     "oracle_optimal", "post_search_refine",
     "Comparison", "MetricsReport", "compare", "emit_report", "t_offline_modeling",

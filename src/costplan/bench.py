@@ -18,13 +18,13 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, PlanningError
-from .estimators import EstimatorRegistry, SyntheticConfig, generate_synthetic
+from .estimators import SyntheticConfig, generate_synthetic
 from .intervals import INF, CostInterval
-from .manifest import EstimatorManifest, load_manifest, manifest_to_json
-from .metrics import Comparison, MetricsReport, RunRecord, compare, emit_report
+from .manifest import EstimatorManifest, load_manifest
+from .metrics import RunRecord, compare, emit_report
 from .pddl import (
     ActionSchema,
     Atom,
@@ -239,30 +239,6 @@ def _run_one(task, mode: str, epsilon: float, heuristic: str):
     return runner(task, config)
 
 
-def _record(instance, mode, epsilon, cert, report, task) -> RunRecord:
-    true_cost = None
-    if cert.plan is not None and task.true_costs is not None:
-        try:
-            true_cost = task.true_plan_cost(cert.plan)
-        except KeyError:
-            true_cost = None
-    return RunRecord(
-        instance=instance,
-        mode=mode,
-        epsilon=epsilon,
-        n=report.n,
-        a_actual=len(report.a_actual),
-        calls=len(report.calls),
-        t_modeling_ms=report.t_modeling_ms,
-        t_planning_ms=report.t_planning_ms,
-        t_avg_ms=report.t_avg_ms,
-        plan_lb=None if cert.plan is None else cert.lower,
-        plan_ub=None if cert.plan is None else cert.upper,
-        verdict=cert.verdict,
-        true_plan_cost=true_cost,
-    )
-
-
 def run_suite(suite, outdir) -> tuple:
     """Run every (entry, seed, epsilon, mode) combination; never aborts.
 
@@ -307,7 +283,7 @@ def run_suite(suite, outdir) -> tuple:
                         )
                         continue
                     reports[mode] = report
-                    rec = _record(instance, mode, epsilon, cert, report, task)
+                    rec = RunRecord.from_episode(instance, mode, epsilon, cert, report, task)
                     records.append(rec)
                     emit_report(
                         [rec],

@@ -14,7 +14,6 @@ import os
 import sys
 
 from .bench import (
-    _record,
     gen_gridworld,
     gen_logistics,
     load_suite,
@@ -22,9 +21,9 @@ from .bench import (
     synthetic_manifest_for,
 )
 from .errors import PlanningError
-from .estimators import Clock, EstimatorRegistry, SyntheticConfig
+from .estimators import EstimatorRegistry, SyntheticConfig
 from .manifest import load_manifest, manifest_to_json
-from .metrics import compare, emit_report
+from .metrics import RunRecord, compare, emit_report
 from .pddl import ground, parse_domain, parse_problem, print_domain, print_problem
 from .remote import MockEstimatorServer, RemoteEstimatorClient
 from .search import SearchConfig, asec, astar_offline, post_search_refine
@@ -43,8 +42,6 @@ def _add_plan_flags(sub):
     sub.add_argument("--manifest", required=True)
     sub.add_argument("--epsilon", type=_positive_epsilon, default=1.0)
     sub.add_argument("--heuristic", choices=["blind", "hmax"], default="hmax")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--refine-budget-ms", type=float, default=None)
     sub.add_argument("--real-latency", action="store_true")
     sub.add_argument("--endpoint", default=None, help="host:port of a remote estimator")
     sub.add_argument("--out", default=None, help="output path prefix for CSV/JSON reports")
@@ -60,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = subs.add_parser("plan", help="solve one instance")
     _add_plan_flags(plan)
     plan.add_argument("--mode", choices=["asec", "offline"], default="asec")
+    plan.add_argument("--refine-budget-ms", type=float, default=None)
 
     comp = subs.add_parser("compare", help="run both modes and compare accounting")
     _add_plan_flags(comp)
@@ -110,14 +108,11 @@ def _load_task(args):
 
 
 def _registry(task, args) -> EstimatorRegistry:
-    clock = Clock("real" if args.real_latency else "simulated")
     remote = None
     if args.endpoint:
         host, _, port = args.endpoint.rpartition(":")
-        remote = RemoteEstimatorClient(
-            host or "127.0.0.1", int(port), real_latency=args.real_latency
-        )
-    return EstimatorRegistry(task, clock=clock, remote=remote)
+        remote = RemoteEstimatorClient(host or "127.0.0.1", int(port))
+    return EstimatorRegistry(task, remote=remote, real_latency=args.real_latency)
 
 
 def _print_certificate(task, cert, report):
@@ -148,7 +143,7 @@ def _cmd_plan(args) -> int:
         cert = post_search_refine(cert, registry, args.refine_budget_ms)
     _print_certificate(task, cert, report)
     if args.out:
-        rec = _record(task.name, args.mode, args.epsilon, cert, report, task)
+        rec = RunRecord.from_episode(task.name, args.mode, args.epsilon, cert, report, task)
         paths = emit_report([rec], args.out)
         print(f"wrote {paths[0]} and {paths[1]}")
     return 0 if cert.verdict == "certified" else 1
@@ -169,8 +164,8 @@ def _cmd_compare(args) -> int:
     print(f"dynamic preferable: {comparison.dynamic_preferable}")
     if args.out:
         records = [
-            _record(task.name, "asec", args.epsilon, cert_dyn, rep_dyn, task),
-            _record(task.name, "offline", args.epsilon, cert_off, rep_off, task),
+            RunRecord.from_episode(task.name, "asec", args.epsilon, cert_dyn, rep_dyn, task),
+            RunRecord.from_episode(task.name, "offline", args.epsilon, cert_off, rep_off, task),
         ]
         emit_report(records, args.out, {"comparison": comparison})
     return 0 if cert_dyn.verdict == "certified" else 1

@@ -1,35 +1,22 @@
 """Estimator chains with accounted invocation time.
 
-Latency is charged to an accounting clock, not slept, by default: runs
-with hundreds of 100 ms estimator calls finish in milliseconds while the
-time ledger stays exact. Real mode sleeps for demo fidelity.
+Each call is charged to the registry's time ledger, never waited out, so
+runs with hundreds of 100 ms estimator calls finish in milliseconds while
+the ledger stays exact. By default a call is charged its declared (or
+server-reported) time; with ``real_latency`` it is charged its measured
+wall time instead.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ChainExhaustedError, ConfigError, EstimatorUnavailableError
 from .intervals import INF, CostInterval
 from .manifest import EstimatorManifest, ManifestEntry, ManifestLevel
 from .task import CostTable, PlanningTask
-
-
-class Clock:
-    """Accumulates charged estimator time; sleeps only in real mode."""
-
-    def __init__(self, mode: str = "simulated"):
-        if mode not in ("simulated", "real"):
-            raise ConfigError(f"unknown clock mode {mode!r}")
-        self.mode = mode
-        self.accumulated_ms = 0.0
-
-    def charge(self, time_ms: float) -> None:
-        self.accumulated_ms += time_ms
-        if self.mode == "real":
-            time.sleep(time_ms / 1000.0)
 
 
 @dataclass(frozen=True)
@@ -44,12 +31,14 @@ class EstimatorRegistry:
 
     Single-writer: one search episode owns a registry and its CostTable.
     Levels are invoked sequentially per action (prefix invocation); each
-    (action, level) pair is charged at most once.
+    (action, level) pair is charged at most once: its declared or
+    server-reported ``time_ms``, or with ``real_latency`` the measured wall
+    time of producing it. The ledger is the only accumulator of charges.
     """
 
-    def __init__(self, task: PlanningTask, clock: Clock | None = None, remote=None):
+    def __init__(self, task: PlanningTask, remote=None, real_latency: bool = False):
         self.task = task
-        self.clock = clock or Clock()
+        self.real_latency = real_latency
         self.ledger: list[LedgerEntry] = []
         self.table = CostTable(task)
         self._remote = remote
@@ -65,7 +54,7 @@ class EstimatorRegistry:
         return self.table.next_level[action_id] < self.chain_length(action_id)
 
     def _produce(self, action_id: int, level: int) -> tuple[CostInterval, float]:
-        """Interval and charged time for a 1-based level of an action's chain."""
+        """Interval and declared time for a 1-based level of an action's chain."""
         time_ms, interval = self.task.chains[action_id].levels[level - 1]
         if self._remote is not None:
             interval, time_ms = self._remote.estimate(
@@ -76,14 +65,16 @@ class EstimatorRegistry:
     def _invoke(self, action_id: int, level: int) -> CostInterval:
         key = (action_id, level)
         if key not in self._memo:
+            started = time.perf_counter()
             try:
                 interval, time_ms = self._produce(action_id, level)
             except EstimatorUnavailableError:
                 self._unavailable.add(action_id)
                 raise
+            if self.real_latency:
+                time_ms = (time.perf_counter() - started) * 1000.0
             self._memo[key] = interval
             self.ledger.append(LedgerEntry(action_id, level, time_ms))
-            self.clock.charge(time_ms)
         return self.table.refine(action_id, self._memo[key])
 
     def invoke_next(self, action_id: int) -> CostInterval:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 from .errors import TaskMismatchError
@@ -101,6 +101,31 @@ class RunRecord:
     verdict: str
     true_plan_cost: Optional[float] = None
     status: str = "ok"
+
+    @classmethod
+    def from_episode(cls, instance, mode, epsilon, cert, report, task) -> "RunRecord":
+        """Row for a finished episode's PlanCertificate and MetricsReport."""
+        true_cost = None
+        if cert.plan is not None and task.true_costs is not None:
+            try:
+                true_cost = task.true_plan_cost(cert.plan)
+            except KeyError:
+                true_cost = None
+        return cls(
+            instance=instance,
+            mode=mode,
+            epsilon=epsilon,
+            n=report.n,
+            a_actual=len(report.a_actual),
+            calls=len(report.calls),
+            t_modeling_ms=report.t_modeling_ms,
+            t_planning_ms=report.t_planning_ms,
+            t_avg_ms=report.t_avg_ms,
+            plan_lb=None if cert.plan is None else cert.lower,
+            plan_ub=None if cert.plan is None else cert.upper,
+            verdict=cert.verdict,
+            true_plan_cost=true_cost,
+        )
 
 
 def _cell(value) -> str:

@@ -24,7 +24,7 @@ come from PDDL; they come from the estimator manifest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GroundingError, PddlSyntaxError, UnsupportedFeatureError
 from .manifest import EstimatorManifest

@@ -14,26 +14,27 @@ import json
 import socket
 import socketserver
 import threading
-import time
 
 from .errors import EstimatorUnavailableError
 from .intervals import INF, CostInterval
 from .manifest import EstimatorManifest
 
+#: serve_forever's shutdown poll; the default 0.5 s makes every shutdown()
+#: wait up to half a second.
+POLL_INTERVAL_S = 0.01
+
 
 class RemoteEstimatorClient:
     """Synchronous, blocking client; one connection per estimate call."""
 
-    def __init__(self, host: str, port: int, timeout_s: float = 10.0, real_latency: bool = False):
+    def __init__(self, host: str, port: int, timeout_s: float = 10.0):
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
-        self.real_latency = real_latency
 
     def estimate(self, action_name: str, level: int) -> tuple[CostInterval, float]:
-        """Interval plus time to charge: server-reported, or measured wall time."""
+        """Interval plus the server-reported time_ms."""
         request = json.dumps({"action": action_name, "level": level}) + "\n"
-        started = time.perf_counter()
         try:
             with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
                 sock.sendall(request.encode("utf-8"))
@@ -41,7 +42,6 @@ class RemoteEstimatorClient:
                     line = fh.readline()
         except OSError as exc:
             raise EstimatorUnavailableError(f"estimator endpoint unreachable: {exc}") from exc
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
 
         try:
             reply = json.loads(line)
@@ -58,7 +58,7 @@ class RemoteEstimatorClient:
             interval = CostInterval(lb, ub)
         except (KeyError, TypeError, ValueError) as exc:
             raise EstimatorUnavailableError(f"malformed estimator reply: {line!r}") from exc
-        return interval, (elapsed_ms if self.real_latency else time_ms)
+        return interval, time_ms
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -102,6 +102,8 @@ class MockEstimatorServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
     def start_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=self.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+        )
         thread.start()
         return thread

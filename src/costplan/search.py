@@ -133,7 +133,7 @@ class _HmaxEvaluator:
                     cost[f] = through
                     supporter[f] = action
                     heapq.heappush(heap, (through, f))
-        unsettled_goals = len(goal - state)
+        unsettled_goals = len(goal)  # goal facts in the state settle too
         settled = set()
         while heap:
             c, fact = heapq.heappop(heap)
@@ -249,8 +249,9 @@ def astar_lb(task: PlanningTask, table: CostTable, heuristic) -> tuple:
 def _episode_report(
     task, registry, mode: str, expansions: int, wall_s: float
 ) -> MetricsReport:
-    if registry.clock.mode == "real":
-        planning_ms = max(0.0, wall_s * 1000.0 - registry.clock.accumulated_ms)
+    charged_ms = registry.total_charged_ms()
+    if registry.real_latency:
+        planning_ms = max(0.0, wall_s * 1000.0 - charged_ms)
     else:
         planning_ms = expansions * MS_PER_EXPANSION
     if mode == "offline":
@@ -263,7 +264,7 @@ def _episode_report(
         n=task.n_actions,
         a_actual=a_actual,
         calls=tuple(registry.ledger),
-        t_modeling_ms=registry.total_charged_ms(),
+        t_modeling_ms=charged_ms,
         t_planning_ms=planning_ms,
     )
 
@@ -282,22 +283,21 @@ def _pick_refinement(plan, registry) -> Optional[int]:
     return best
 
 
-def asec(
-    task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry] = None
+def _solve(
+    task: PlanningTask, config: SearchConfig, registry: EstimatorRegistry,
+    mode: str, started: float,
 ) -> tuple:
-    """A* with synchronous (on-demand) estimation of costs.
+    """Replan on lower bounds, refining the widest plan action, until a verdict.
 
     Runs a fresh lower-bound A* after each refinement. One heuristic serves
     the whole episode: h_max keeps every value the refinement cannot have
     changed (see ``_HmaxEvaluator``). Memoized estimator results persist
     across replans, so total invocations are bounded by the total chain
-    length.
+    length. ``started`` is the episode's ``perf_counter`` start.
     """
-    registry = registry or EstimatorRegistry(task)
     table = registry.table
     heuristic = make_heuristic(config.heuristic, task, table)
     expansions = 0
-    started = time.perf_counter()
     while True:
         plan, exp = astar_lb(task, table, heuristic)
         expansions += exp
@@ -317,32 +317,33 @@ def asec(
         except EstimatorUnavailableError:
             pass  # action is now marked unrefinable; re-plan
     wall = time.perf_counter() - started
-    return cert, _episode_report(task, registry, "dynamic", expansions, wall)
+    return cert, _episode_report(task, registry, mode, expansions, wall)
+
+
+def asec(
+    task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry] = None
+) -> tuple:
+    """A* with synchronous (on-demand) estimation of costs."""
+    started = time.perf_counter()
+    return _solve(task, config, registry or EstimatorRegistry(task), "dynamic", started)
 
 
 def astar_offline(
     task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry] = None
 ) -> tuple:
-    """Conservative baseline: best estimate for every action, then plain A*."""
-    registry = registry or EstimatorRegistry(task)
-    table = registry.table
+    """Conservative baseline: best estimate for every action, then plain A*.
+
+    Every chain ends fully invoked or unavailable, so nothing is refinable
+    and the shared loop runs A* exactly once.
+    """
     started = time.perf_counter()
+    registry = registry or EstimatorRegistry(task)
     for action in task.actions:
         try:
             registry.invoke_final(action.id)
         except EstimatorUnavailableError:
             pass  # keep the prior for this action
-    plan, expansions = astar_lb(
-        task, table, make_heuristic(config.heuristic, task, table)
-    )
-    if plan is None:
-        cert = PlanCertificate(None, INF, INF, config.epsilon, "no-plan")
-    else:
-        bound = table.plan_interval(plan)
-        verdict = "certified" if certified(bound.lb, bound.ub, config.epsilon) else "uncertified"
-        cert = PlanCertificate(plan, bound.lb, bound.ub, config.epsilon, verdict)
-    wall = time.perf_counter() - started
-    return cert, _episode_report(task, registry, "offline", expansions, wall)
+    return _solve(task, config, registry, "offline", started)
 
 
 def post_search_refine(

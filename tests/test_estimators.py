@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 from costplan.bench import EMPTY_MANIFEST, gen_gridworld, synthetic_manifest_for
 from costplan.errors import ChainExhaustedError, ConfigError
 from costplan.estimators import (
-    Clock,
     EstimatorRegistry,
     SyntheticConfig,
     generate_synthetic,
@@ -28,13 +29,13 @@ class TestRegistry:
     def test_first_invocation_refines_prior(self):
         reg = EstimatorRegistry(two_level_task())
         assert reg.invoke_next(0) == CostInterval(5.0, 10.0)
-        assert reg.clock.accumulated_ms == 1.0
+        assert reg.total_charged_ms() == 1.0
 
     def test_second_level_nests(self):
         reg = EstimatorRegistry(two_level_task())
         reg.invoke_next(0)
         assert reg.invoke_next(0) == CostInterval(7.0, 7.0)
-        assert reg.clock.accumulated_ms == 101.0
+        assert reg.total_charged_ms() == 101.0
 
     def test_exhausted_chain_raises(self):
         reg = EstimatorRegistry(two_level_task())
@@ -44,16 +45,10 @@ class TestRegistry:
         with pytest.raises(ChainExhaustedError):
             reg.invoke_next(0)
 
-    def test_ledger_matches_clock(self):
-        reg = EstimatorRegistry(two_level_task())
-        reg.invoke_next(0)
-        reg.invoke_next(0)
-        assert reg.total_charged_ms() == reg.clock.accumulated_ms
-
     def test_final_level_charged_alone(self):
         reg = EstimatorRegistry(two_level_task())
         reg.invoke_final(0)
-        assert reg.clock.accumulated_ms == 100.0
+        assert reg.total_charged_ms() == 100.0
         assert reg.table.interval(0) == CostInterval(7.0, 7.0)
         assert not reg.refinable(0)
 
@@ -62,23 +57,30 @@ class TestRegistry:
         reg.invoke_next(0)
         reg.invoke_next(0)
         reg.invoke_final(0)  # level 2 already charged
-        assert reg.clock.accumulated_ms == 101.0
+        assert reg.total_charged_ms() == 101.0
         assert len(reg.ledger) == 2
 
 
+def slow_level_task():
+    return make_task([("a", {0}, {1}, set(), [(5000.0, (3.0, 3.0))])], goal={1})
+
+
 def test_simulated_clock_never_sleeps():
-    import time
-
-    clock = Clock("simulated")
+    reg = EstimatorRegistry(slow_level_task())
     started = time.perf_counter()
-    clock.charge(5000.0)
+    reg.invoke_next(0)
     assert time.perf_counter() - started < 0.5
-    assert clock.accumulated_ms == 5000.0
+    assert reg.total_charged_ms() == 5000.0
 
 
-def test_clock_rejects_unknown_mode():
-    with pytest.raises(ConfigError):
-        Clock("warp")
+def test_real_latency_charges_measured_time_not_declared():
+    reg = EstimatorRegistry(slow_level_task(), real_latency=True)
+    started = time.perf_counter()
+    reg.invoke_next(0)
+    assert time.perf_counter() - started < 0.5
+    (entry,) = reg.ledger
+    assert 0.0 <= entry.time_ms < 5000.0
+    assert reg.total_charged_ms() == entry.time_ms
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 import json
 import socket
+import time
 
 import pytest
 
 from costplan.bench import gen_gridworld, synthetic_manifest_for
 from costplan.errors import EstimatorUnavailableError
 from costplan.estimators import EstimatorRegistry, SyntheticConfig
+from costplan.intervals import CostInterval
 from costplan.manifest import load_manifest
 from costplan.pddl import ground
 from costplan.remote import MockEstimatorServer, RemoteEstimatorClient
-from costplan.search import SearchConfig, asec
+from costplan.search import SearchConfig, asec, astar_offline
 
 
 @pytest.fixture()
@@ -76,6 +78,21 @@ def test_unavailable_treated_as_chain_exhausted(drive_task, drive_server):
     cert, report = asec(drive_task, SearchConfig(epsilon=1.5), registry)
     assert cert.verdict == "uncertified"
     assert report.calls == ()
+
+
+def test_real_latency_charges_measured_remote_time(drive_task):
+    # a remote that takes ~20 ms per call but reports 1 ms
+    class SlowServer:
+        def estimate(self, name, level):
+            time.sleep(0.02)
+            return CostInterval(7.0, 7.0), 1.0
+
+    registry = EstimatorRegistry(drive_task, remote=SlowServer(), real_latency=True)
+    cert, report = astar_offline(drive_task, SearchConfig(epsilon=1.0), registry)
+    assert cert.verdict == "certified"
+    assert len(report.calls) == drive_task.n_actions
+    assert all(entry.time_ms >= 20.0 for entry in report.calls)
+    assert report.t_planning_ms < report.t_modeling_ms / 2
 
 
 def test_remote_matches_local_execution():

@@ -66,6 +66,12 @@ def test_hmax_infinite_when_unreachable():
     assert math.isinf(hmax_of(task))
 
 
+def test_hmax_counts_goal_facts_already_in_state():
+    # goal fact 1 already holds; h is the cost of reaching fact 2
+    task = make_task([("a", {0}, {2}, set(), [])], goal={1, 2}, init={0, 1})
+    assert hmax_of(task, [(0, (5.0, 5.0))]) == 5.0
+
+
 def test_hmax_admissible_vs_exhaustive():
     # every reachable state: hmax <= cheapest remaining lb-cost (oracle: Dijkstra)
     for index in range(4):
@@ -312,6 +318,26 @@ def test_offline_unreachable_still_charges():
     cert, report = astar_offline(task, SearchConfig(epsilon=1.0))
     assert cert.verdict == "no-plan"
     assert report.t_modeling_ms == 5.0
+
+
+def test_offline_searches_once_and_never_refines(monkeypatch):
+    # inexact final levels leave the plan uncertified at epsilon 1
+    task = make_task(
+        [("a", {0}, {1}, set(), [(1.0, (1.0, 4.0)), (2.0, (2.0, 3.0))])],
+        goal={1},
+    )
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return astar_lb(*args)
+
+    monkeypatch.setattr(search, "astar_lb", counted)
+    cert, report = astar_offline(task, SearchConfig(epsilon=1.0))
+    assert cert.verdict == "uncertified"
+    assert (cert.lower, cert.upper) == (2.0, 3.0)
+    assert len(searches) == 1
+    assert [(e.action_id, e.level) for e in report.calls] == [(0, 2)]
 
 
 def test_offline_equals_asec_with_single_exact_levels():
