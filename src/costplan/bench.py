@@ -10,6 +10,12 @@ JSON:
                   "seeds": [0, 1], "epsilons": [1.0, 1.5],
                   "modes": ["asec", "offline"],
                   "heuristic": "hmax"}]}
+
+Instead of "domain" and "problem" an entry may give "generate": the name
+of a GENERATORS template plus that generator's keyword arguments, e.g.
+{"template": "gridworld", "rows": 5, "cols": 5, "corner_to_corner": true}.
+The instance is built once per entry; the entry's seeds seed its
+synthetic manifests. "synthetic" takes SyntheticConfig's fields.
 """
 
 from __future__ import annotations
@@ -35,9 +41,7 @@ from .pddl import (
     parse_domain,
     parse_problem,
 )
-from .search import SearchConfig, asec, astar_offline
-
-MODES = ("asec", "offline")
+from .search import HEURISTICS, MODES, SearchConfig
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +167,10 @@ def gen_logistics(
     return domain, problem
 
 
-EMPTY_MANIFEST = EstimatorManifest(
-    default_prior=CostInterval(0.0, INF), entries=()
-)
+#: Suite "generate" template -> instance generator returning (domain, problem).
+GENERATORS = {"gridworld": gen_gridworld, "logistics": gen_logistics}
+
+EMPTY_MANIFEST = EstimatorManifest(default_prior=CostInterval(0.0, INF), entries=())
 
 
 def synthetic_manifest_for(
@@ -182,8 +187,9 @@ def synthetic_manifest_for(
 @dataclass(frozen=True)
 class SuiteEntry:
     name: str
-    domain: str
-    problem: str
+    domain: str | None  # PDDL paths; None when generated
+    problem: str | None
+    generate: dict | None  # "template" plus generator keyword arguments
     manifest: str | None  # path; None when synthetic
     synthetic: SyntheticConfig | None
     seeds: tuple
@@ -193,8 +199,12 @@ class SuiteEntry:
 
 
 def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
-    if "domain" not in raw or "problem" not in raw:
-        raise ConfigError(f"suite entry {i}: domain and problem are required")
+    if ("domain" in raw, "problem" in raw, "generate" in raw) not in (
+        (True, True, False), (False, False, True)
+    ):
+        raise ConfigError(f"suite entry {i}: give domain and problem, or generate")
+    if not isinstance(raw.get("generate", {}), dict):
+        raise ConfigError(f"suite entry {i}: generate must be an object")
     seeds = tuple(raw.get("seeds", [0]))
     if not seeds:
         raise ConfigError(f"suite entry {i}: seeds must be nonempty")
@@ -205,25 +215,26 @@ def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"suite entry {i}: unknown mode {mode!r}")
+    heuristic = raw.get("heuristic", "hmax")
+    if heuristic not in HEURISTICS:
+        raise ConfigError(f"suite entry {i}: unknown heuristic {heuristic!r}")
     synthetic = None
     if "synthetic" in raw:
         params = dict(raw["synthetic"])
         if "cost_range" in params:
             params["cost_range"] = tuple(params["cost_range"])
-        synthetic = SyntheticConfig(**params)
-        synthetic.validate()
+        try:
+            synthetic = SyntheticConfig(**params)
+            synthetic.validate()
+        except (TypeError, ConfigError) as exc:
+            raise ConfigError(f"suite entry {i}: synthetic: {exc}") from None
     elif "manifest" not in raw:
         raise ConfigError(f"suite entry {i}: need 'manifest' or 'synthetic'")
     return SuiteEntry(
-        name=raw.get("name", f"entry{i}"),
-        domain=raw["domain"],
-        problem=raw["problem"],
-        manifest=raw.get("manifest"),
-        synthetic=synthetic,
-        seeds=seeds,
-        epsilons=epsilons,
-        modes=modes,
-        heuristic=raw.get("heuristic", "hmax"),
+        name=raw.get("name", f"entry{i}"), domain=raw.get("domain"),
+        problem=raw.get("problem"), generate=raw.get("generate"),
+        manifest=raw.get("manifest"), synthetic=synthetic, seeds=seeds,
+        epsilons=epsilons, modes=modes, heuristic=heuristic,
     )
 
 
@@ -233,10 +244,22 @@ def load_suite(path) -> tuple:
     return tuple(_entry_from_json(i, raw) for i, raw in enumerate(doc.get("entries", [])))
 
 
-def _run_one(task, mode: str, epsilon: float, heuristic: str):
-    config = SearchConfig(epsilon=epsilon, heuristic=heuristic)
-    runner = asec if mode == "asec" else astar_offline
-    return runner(task, config)
+def _instance(entry: SuiteEntry) -> tuple:
+    """(domain, problem) ASTs of an entry: generated, or parsed from its files."""
+    if entry.generate is None:
+        with open(entry.domain, "r", encoding="utf-8") as fh:
+            domain = parse_domain(fh.read())
+        with open(entry.problem, "r", encoding="utf-8") as fh:
+            return domain, parse_problem(fh.read())
+    params = dict(entry.generate)
+    template = params.pop("template", None)
+    generator = GENERATORS.get(str(template))
+    if generator is None:
+        raise ConfigError(f"unknown template {template!r}")
+    try:
+        return generator(**params)
+    except TypeError as exc:
+        raise ConfigError(f"{template}: {exc}") from None
 
 
 def run_suite(suite, outdir) -> tuple:
@@ -245,27 +268,22 @@ def run_suite(suite, outdir) -> tuple:
     Writes an aggregate results.csv/.json in outdir plus one report pair
     per run under outdir/runs/. Deterministic given the suite's seeds.
     """
-    os.makedirs(outdir, exist_ok=True)
     runs_dir = os.path.join(outdir, "runs")
-    os.makedirs(runs_dir, exist_ok=True)
+    os.makedirs(runs_dir, exist_ok=True)  # creates outdir too
     records = []
     comparisons = {}
     for entry in suite:
         try:
-            with open(entry.domain, "r", encoding="utf-8") as fh:
-                domain = parse_domain(fh.read())
-            with open(entry.problem, "r", encoding="utf-8") as fh:
-                problem = parse_problem(fh.read())
+            domain, problem = _instance(entry)
         except (OSError, PlanningError) as exc:
-            records.append(_failure_record(entry.name, f"parse-error: {exc}"))
+            kind = "parse" if entry.generate is None else "generate"
+            records.append(_failure_record(entry.name, f"{kind}-error: {exc}"))
             continue
         for seed in entry.seeds:
             instance = f"{entry.name}#s{seed}"
             try:
                 if entry.synthetic is not None:
-                    manifest = synthetic_manifest_for(
-                        domain, problem, seed, entry.synthetic
-                    )
+                    manifest = synthetic_manifest_for(domain, problem, seed, entry.synthetic)
                 else:
                     manifest = load_manifest(entry.manifest)
                 task = ground(domain, problem, manifest, name=instance)
@@ -275,20 +293,18 @@ def run_suite(suite, outdir) -> tuple:
             for epsilon in entry.epsilons:
                 reports = {}
                 for mode in entry.modes:
+                    config = SearchConfig(epsilon=epsilon, heuristic=entry.heuristic)
                     try:
-                        cert, report = _run_one(task, mode, epsilon, entry.heuristic)
+                        cert, report = MODES[mode](task, config)
                     except PlanningError as exc:
                         records.append(
                             _failure_record(instance, f"run-error: {exc}", mode, epsilon)
                         )
                         continue
                     reports[mode] = report
-                    rec = RunRecord.from_episode(instance, mode, epsilon, cert, report, task)
-                    records.append(rec)
-                    emit_report(
-                        [rec],
-                        os.path.join(runs_dir, f"{instance}_e{epsilon}_{mode}".replace("#", "_")),
-                    )
+                    records.append(RunRecord.from_episode(cert, report, task))
+                    run_name = f"{instance}_e{epsilon}_{mode}".replace("#", "_")
+                    emit_report(records[-1:], os.path.join(runs_dir, run_name))
                 if "asec" in reports and "offline" in reports:
                     comparisons[f"{instance}@eps={epsilon}"] = compare(
                         reports["asec"], reports["offline"]
@@ -298,17 +314,7 @@ def run_suite(suite, outdir) -> tuple:
 
 def _failure_record(instance, status, mode="", epsilon=math.nan) -> RunRecord:
     return RunRecord(
-        instance=instance,
-        mode=mode,
-        epsilon=epsilon,
-        n=0,
-        a_actual=0,
-        calls=0,
-        t_modeling_ms=0.0,
-        t_planning_ms=0.0,
-        t_avg_ms=0.0,
-        plan_lb=None,
-        plan_ub=None,
-        verdict="error",
-        status=status,
+        instance=instance, mode=mode, epsilon=epsilon, n=0, a_actual=0, calls=0,
+        t_modeling_ms=0.0, t_planning_ms=0.0, t_avg_ms=0.0, plan_lb=None, plan_ub=None,
+        verdict="error", status=status,
     )

@@ -8,12 +8,14 @@ logging level name (DEBUG, INFO, ...) to control verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
 import sys
 
 from .bench import (
+    GENERATORS,
     gen_gridworld,
     gen_logistics,
     load_suite,
@@ -26,7 +28,7 @@ from .manifest import load_manifest, manifest_to_json
 from .metrics import RunRecord, compare, emit_report
 from .pddl import ground, parse_domain, parse_problem, print_domain, print_problem
 from .remote import MockEstimatorServer, RemoteEstimatorClient
-from .search import SearchConfig, asec, astar_offline, post_search_refine
+from .search import HEURISTICS, MODES, SearchConfig, asec, astar_offline, post_search_refine
 
 
 def _positive_epsilon(text: str) -> float:
@@ -41,7 +43,7 @@ def _add_plan_flags(sub):
     sub.add_argument("--problem", required=True)
     sub.add_argument("--manifest", required=True)
     sub.add_argument("--epsilon", type=_positive_epsilon, default=1.0)
-    sub.add_argument("--heuristic", choices=["blind", "hmax"], default="hmax")
+    sub.add_argument("--heuristic", choices=HEURISTICS, default="hmax")
     sub.add_argument("--real-latency", action="store_true")
     sub.add_argument("--endpoint", default=None, help="host:port of a remote estimator")
     sub.add_argument("--out", default=None, help="output path prefix for CSV/JSON reports")
@@ -56,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = subs.add_parser("plan", help="solve one instance")
     _add_plan_flags(plan)
-    plan.add_argument("--mode", choices=["asec", "offline"], default="asec")
+    plan.add_argument("--mode", choices=list(MODES), default="asec")
     plan.add_argument("--refine-budget-ms", type=float, default=None)
 
     comp = subs.add_parser("compare", help="run both modes and compare accounting")
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_est.add_argument("--out", required=True, help="manifest output path")
 
     gen_inst = subs.add_parser("gen-instances", help="generate PDDL instances")
-    gen_inst.add_argument("--template", choices=["gridworld", "logistics"], required=True)
+    gen_inst.add_argument("--template", choices=list(GENERATORS), required=True)
     gen_inst.add_argument("--rows", type=int, default=3)
     gen_inst.add_argument("--cols", type=int, default=3)
     gen_inst.add_argument("--corner-to-corner", action="store_true")
@@ -135,16 +137,16 @@ def _cmd_plan(args) -> int:
     task = _load_task(args)
     config = SearchConfig(epsilon=args.epsilon, heuristic=args.heuristic)
     registry = _registry(task, args)
-    if args.mode == "asec":
-        cert, report = asec(task, config, registry)
-    else:
-        cert, report = astar_offline(task, config, registry)
+    cert, report = MODES[args.mode](task, config, registry)
     if args.refine_budget_ms is not None and cert.plan is not None:
         cert = post_search_refine(cert, registry, args.refine_budget_ms)
+        report = dataclasses.replace(  # count the refinement calls too
+            report, a_actual=report.a_actual | registry.estimated_actions(),
+            calls=tuple(registry.ledger), t_modeling_ms=registry.total_charged_ms(),
+        )
     _print_certificate(task, cert, report)
     if args.out:
-        rec = RunRecord.from_episode(task.name, args.mode, args.epsilon, cert, report, task)
-        paths = emit_report([rec], args.out)
+        paths = emit_report([RunRecord.from_episode(cert, report, task)], args.out)
         print(f"wrote {paths[0]} and {paths[1]}")
     return 0 if cert.verdict == "certified" else 1
 
@@ -163,10 +165,8 @@ def _cmd_compare(args) -> int:
     print(f"delta_planning_ms: {comparison.delta_planning_ms:.6g}")
     print(f"dynamic preferable: {comparison.dynamic_preferable}")
     if args.out:
-        records = [
-            RunRecord.from_episode(task.name, "asec", args.epsilon, cert_dyn, rep_dyn, task),
-            RunRecord.from_episode(task.name, "offline", args.epsilon, cert_off, rep_off, task),
-        ]
+        records = [RunRecord.from_episode(cert_dyn, rep_dyn, task),
+                   RunRecord.from_episode(cert_off, rep_off, task)]
         emit_report(records, args.out, {"comparison": comparison})
     return 0 if cert_dyn.verdict == "certified" else 1
 

@@ -27,7 +27,7 @@ class LedgerEntry:
 
 
 class EstimatorRegistry:
-    """Per-episode estimator state: chains, memoized results, time ledger.
+    """Per-episode estimator state: chains, cost table, time ledger.
 
     Single-writer: one search episode owns a registry and its CostTable.
     Levels are invoked sequentially per action (prefix invocation); each
@@ -42,7 +42,6 @@ class EstimatorRegistry:
         self.ledger: list[LedgerEntry] = []
         self.table = CostTable(task)
         self._remote = remote
-        self._memo: dict[tuple[int, int], CostInterval] = {}
         self._unavailable: set[int] = set()
 
     def chain_length(self, action_id: int) -> int:
@@ -63,19 +62,18 @@ class EstimatorRegistry:
         return interval, time_ms
 
     def _invoke(self, action_id: int, level: int) -> CostInterval:
-        key = (action_id, level)
-        if key not in self._memo:
-            started = time.perf_counter()
-            try:
-                interval, time_ms = self._produce(action_id, level)
-            except EstimatorUnavailableError:
-                self._unavailable.add(action_id)
-                raise
-            if self.real_latency:
-                time_ms = (time.perf_counter() - started) * 1000.0
-            self._memo[key] = interval
-            self.ledger.append(LedgerEntry(action_id, level, time_ms))
-        return self.table.refine(action_id, self._memo[key])
+        if level <= self.table.next_level[action_id]:
+            return self.table.interval(action_id)  # already charged and applied
+        started = time.perf_counter()
+        try:
+            interval, time_ms = self._produce(action_id, level)
+        except EstimatorUnavailableError:
+            self._unavailable.add(action_id)
+            raise
+        if self.real_latency:
+            time_ms = (time.perf_counter() - started) * 1000.0
+        self.ledger.append(LedgerEntry(action_id, level, time_ms))
+        return self.table.refine(action_id, interval)
 
     def invoke_next(self, action_id: int) -> CostInterval:
         """Invoke the action's next uninvoked estimator level."""

@@ -30,10 +30,6 @@ class CostInterval:
     def width(self) -> float:
         return self.ub - self.lb
 
-    @property
-    def is_exact(self) -> bool:
-        return self.lb == self.ub
-
     def contains(self, value: float) -> bool:
         return self.lb - TOLERANCE <= value <= self.ub + TOLERANCE
 
@@ -49,10 +45,6 @@ class CostInterval:
                 f"empty intersection of [{self.lb}, {self.ub}] and [{other.lb}, {other.ub}]"
             )
         return CostInterval(lb, max(lb, ub))
-
-
-#: Default prior when nothing at all is known about a cost.
-UNKNOWN = CostInterval(0.0, INF)
 
 
 def accumulate(intervals: Iterable[CostInterval]) -> CostInterval:

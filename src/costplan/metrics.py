@@ -17,7 +17,7 @@ class MetricsReport:
     """Estimator-call ledger and derived quantities for one episode."""
 
     instance: str
-    mode: str  # "offline" | "dynamic"
+    mode: str  # a key of search.MODES: "asec" | "offline"
     n: int
     a_actual: frozenset  # action ids estimated during the episode
     calls: tuple  # of LedgerEntry
@@ -59,9 +59,9 @@ def compare(dynamic: MetricsReport, offline: MetricsReport) -> Comparison:
             f"cannot compare {dynamic.instance!r} (n={dynamic.n}) "
             f"with {offline.instance!r} (n={offline.n})"
         )
-    if dynamic.mode != "dynamic" or offline.mode != "offline":
+    if dynamic.mode != "asec" or offline.mode != "offline":
         raise TaskMismatchError(
-            f"expected a (dynamic, offline) pair, got ({dynamic.mode}, {offline.mode})"
+            f"expected an (asec, offline) pair, got ({dynamic.mode}, {offline.mode})"
         )
     delta_modeling = dynamic.t_modeling_ms - offline.t_modeling_ms
     delta_planning = dynamic.t_planning_ms - offline.t_planning_ms
@@ -103,7 +103,7 @@ class RunRecord:
     status: str = "ok"
 
     @classmethod
-    def from_episode(cls, instance, mode, epsilon, cert, report, task) -> "RunRecord":
+    def from_episode(cls, cert, report, task) -> "RunRecord":
         """Row for a finished episode's PlanCertificate and MetricsReport."""
         true_cost = None
         if cert.plan is not None and task.true_costs is not None:
@@ -112,9 +112,9 @@ class RunRecord:
             except KeyError:
                 true_cost = None
         return cls(
-            instance=instance,
-            mode=mode,
-            epsilon=epsilon,
+            instance=report.instance,
+            mode=report.mode,
+            epsilon=cert.epsilon,
             n=report.n,
             a_actual=len(report.a_actual),
             calls=len(report.calls),

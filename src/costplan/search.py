@@ -1,7 +1,7 @@
 """Planning algorithms over interval-valued action costs.
 
-The dynamic planner ("asec" mode) runs A* on lower-bound costs and lazily
-refines the cost intervals of actions on candidate plans until the
+The online-modeling planner ("asec" mode) runs A* on lower-bound costs and
+lazily refines the cost intervals of actions on candidate plans until the
 accumulated upper/lower bound ratio certifies the target suboptimality
 multiplier epsilon, the chains are exhausted (uncertified), or the goal
 is unreachable. The offline baseline conservatively invokes every
@@ -325,7 +325,7 @@ def asec(
 ) -> tuple:
     """A* with synchronous (on-demand) estimation of costs."""
     started = time.perf_counter()
-    return _solve(task, config, registry or EstimatorRegistry(task), "dynamic", started)
+    return _solve(task, config, registry or EstimatorRegistry(task), "asec", started)
 
 
 def astar_offline(
@@ -346,6 +346,10 @@ def astar_offline(
     return _solve(task, config, registry, "offline", started)
 
 
+#: Mode name -> episode runner; the one vocabulary of the CLI, suites and reports.
+MODES = {"asec": asec, "offline": astar_offline}
+
+
 def post_search_refine(
     certificate: PlanCertificate,
     registry: EstimatorRegistry,
@@ -354,25 +358,27 @@ def post_search_refine(
     """Narrow a found plan's cost bound by refining its widest actions.
 
     Stops when the budget or every chain on the plan is exhausted. The
-    verdict may upgrade uncertified -> certified, never the reverse.
+    budget counts what the ledger charged for these calls (measured time
+    under ``real_latency``); a call starts only if the spend so far plus its
+    declared time fits. The verdict may upgrade uncertified -> certified,
+    never the reverse.
     """
     if certificate.plan is None:
         return certificate
     table = registry.table
-    spent = 0.0
+    first = len(registry.ledger)
     while True:
         target = _pick_refinement(certificate.plan, registry)
         if target is None:
             break
-        next_level = table.next_level[target]
-        cost_ms = registry.task.chains[target].levels[next_level][0]
+        cost_ms = registry.task.chains[target].levels[table.next_level[target]][0]
+        spent = sum(e.time_ms for e in registry.ledger[first:])
         if budget_ms is not None and spent + cost_ms > budget_ms + TOLERANCE:
             break
         try:
             registry.invoke_next(target)
         except EstimatorUnavailableError:
             continue
-        spent += cost_ms
     bound = table.plan_interval(certificate.plan)
     verdict = certificate.verdict
     if verdict == "uncertified" and certified(bound.lb, bound.ub, certificate.epsilon):

@@ -111,7 +111,7 @@ def test_criterion_5_accounting_arithmetic():
     manifest = parse_manifest(json.dumps(doc))
     assert t_offline_modeling(manifest) == 1.0e6
 
-    dynamic = MetricsReport("t", "dynamic", 4, frozenset({0}), (), 11.0, 25.0)
+    dynamic = MetricsReport("t", "asec", 4, frozenset({0}), (), 11.0, 25.0)
     offline = MetricsReport("t", "offline", 4, frozenset(range(4)), (), 110.0, 20.0)
     comp = compare(dynamic, offline)
     assert comp.delta_modeling_ms == -99.0

@@ -1,6 +1,9 @@
 import csv
+import dataclasses
+import glob
 import json
 import math
+import os
 
 import pytest
 
@@ -143,3 +146,97 @@ def test_suite_validation():
         _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "epsilons": [0.5]})
     with pytest.raises(ConfigError, match="mode"):
         _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "modes": ["x"]})
+    with pytest.raises(ConfigError, match="entry 0: unknown heuristic 'hmx'"):
+        _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "heuristic": "hmx"})
+    with pytest.raises(ConfigError, match="entry 0: synthetic: .*levles"):
+        _entry_from_json(0, {"domain": "d", "problem": "p", "synthetic": {"levles": 2}})
+    with pytest.raises(ConfigError, match="entry 0: synthetic: levels"):
+        _entry_from_json(0, {"domain": "d", "problem": "p", "synthetic": {"levels": 0}})
+    grid = {"template": "gridworld", "rows": 2, "cols": 2}
+    for form in ({"domain": "d", "problem": "p", "generate": grid}, {"domain": "d"}, {}):
+        with pytest.raises(ConfigError, match="domain and problem, or generate"):
+            _entry_from_json(0, {**form, "manifest": "m"})
+    with pytest.raises(ConfigError, match="generate must be an object"):
+        _entry_from_json(0, {"generate": "gridworld", "manifest": "m"})
+
+
+def test_bench_suite_errors_exit_2(capsys, tmp_path):
+    from costplan.cli import main
+
+    grid = {"template": "gridworld", "rows": 2, "cols": 2}
+    for bad in ({"synthetic": {"levles": 2}}, {"synthetic": {}, "heuristic": "hmx"}):
+        path = write_suite(tmp_path, [{"generate": grid, **bad}])
+        assert main(["bench", "--suite", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: suite entry 0: ")
+
+
+# ---------------------------------------------------------------------------
+# Generated suite entries
+
+SUITES = os.path.join(os.path.dirname(__file__), "..", "data", "suites")
+
+
+def test_generated_entry_matches_gen_instances_files(capsys, tmp_path):
+    from costplan.cli import main
+
+    generators = {
+        "grid": {"template": "gridworld", "rows": 3, "cols": 4, "seed": 2},
+        "log": {"template": "logistics", "trucks": 1, "cities": 3, "packages": 1, "seed": 3},
+    }
+    common = {"synthetic": {"levels": 2}, "seeds": [0, 1], "epsilons": [1.0, 1.5]}
+    generated, files = [], []
+    for name, params in generators.items():
+        argv = ["gen-instances", "--out", str(tmp_path / name)]
+        for key, value in params.items():
+            argv += [f"--{key}", str(value)]
+        assert main(argv) == 0
+        generated.append({"name": name, "generate": params, **common})
+        files.append({"name": name, "domain": str(tmp_path / name / "domain.pddl"),
+                      "problem": str(tmp_path / name / "problem.pddl"), **common})
+    capsys.readouterr()
+    out_gen = run_suite(load_suite(write_suite(tmp_path, generated)), tmp_path / "gen")
+    out_files = run_suite(load_suite(write_suite(tmp_path, files)), tmp_path / "files")
+    for generated_path, files_path in zip(out_gen, out_files):
+        assert open(generated_path, "rb").read() == open(files_path, "rb").read()
+    rows = list(csv.DictReader(open(out_gen[0])))
+    assert len(rows) == 16 and all(r["status"] == "ok" for r in rows)
+
+
+def test_generate_errors_become_error_rows(tmp_path):
+    suite = load_suite(write_suite(tmp_path, [
+        {"name": "nope", "generate": {"template": "maze"}, "synthetic": {}},
+        {"name": "typo", "generate": {"template": "gridworld", "rows": 2, "colz": 2},
+         "synthetic": {}},
+        {"name": "small", "generate": {"template": "gridworld", "rows": 0, "cols": 2},
+         "synthetic": {}},
+        {"name": "ok", "generate": {"template": "gridworld", "rows": 2, "cols": 2},
+         "synthetic": {}},
+    ]))
+    csv_path, _ = run_suite(suite, tmp_path / "out")
+    by_instance = {r["instance"]: r["status"] for r in csv.DictReader(open(csv_path))}
+    assert by_instance["nope"] == "generate-error: unknown template 'maze'"
+    assert by_instance["typo"].startswith("generate-error: gridworld:")
+    assert by_instance["small"].startswith("generate-error: grid sizes")
+    assert by_instance["ok#s0"] == "ok"
+
+
+def test_checked_in_suites_load():
+    paths = sorted(glob.glob(os.path.join(SUITES, "*.json")))
+    assert len(paths) >= 2
+    for path in paths:
+        assert load_suite(path)
+
+
+def test_compare_modes_suite_grid5_seed0(tmp_path):
+    entry = next(e for e in load_suite(os.path.join(SUITES, "compare_modes.json"))
+                 if e.name == "grid5")
+    suite = (dataclasses.replace(entry, seeds=(0,)),)
+    csv_path, json_path = run_suite(suite, tmp_path / "out")
+    rows = list(csv.DictReader(open(csv_path)))
+    for epsilon in entry.epsilons:
+        pair = [r for r in rows if float(r["epsilon"]) == epsilon]
+        assert [r["mode"] for r in pair] == ["asec", "offline"]
+        assert all(r["verdict"] == "certified" and r["instance"] == "grid5#s0" for r in pair)
+    assert sorted(json.load(open(json_path))["comparisons"]) == [
+        f"grid5#s0@eps={epsilon}" for epsilon in entry.epsilons
+    ]

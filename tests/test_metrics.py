@@ -56,41 +56,41 @@ def test_t_offline_prior_only_chains_contribute_zero():
 
 
 def test_compare_preferable():
-    result = compare(report("dynamic", 11.0, 25.0), report("offline", 110.0, 20.0))
+    result = compare(report("asec", 11.0, 25.0), report("offline", 110.0, 20.0))
     assert result.delta_modeling_ms == pytest.approx(-99.0)
     assert result.delta_planning_ms == pytest.approx(5.0)
     assert result.dynamic_preferable
 
 
 def test_compare_identical_not_preferable():
-    result = compare(report("dynamic", 10.0, 5.0), report("offline", 10.0, 5.0))
+    result = compare(report("asec", 10.0, 5.0), report("offline", 10.0, 5.0))
     assert result == Comparison(0.0, 0.0, False)
 
 
 def test_compare_small_saving_not_preferable():
-    result = compare(report("dynamic", 7.0, 15.0), report("offline", 10.0, 10.0))
+    result = compare(report("asec", 7.0, 15.0), report("offline", 10.0, 10.0))
     assert (result.delta_modeling_ms, result.delta_planning_ms) == (-3.0, 5.0)
     assert not result.dynamic_preferable
 
 
 def test_compare_dynamic_slowdown_not_preferable():
     # |delta_modeling| > |delta_planning| but modeling got MORE expensive
-    result = compare(report("dynamic", 110.0, 11.0), report("offline", 10.0, 10.0))
+    result = compare(report("asec", 110.0, 11.0), report("offline", 10.0, 10.0))
     assert result.delta_modeling_ms == 100.0
     assert not result.dynamic_preferable
 
 
 def test_compare_rejects_mismatched_tasks():
     with pytest.raises(TaskMismatchError):
-        compare(report("dynamic", 1.0, 1.0, instance="x"), report("offline", 1.0, 1.0, instance="y"))
+        compare(report("asec", 1.0, 1.0, instance="x"), report("offline", 1.0, 1.0, instance="y"))
     with pytest.raises(TaskMismatchError):
         compare(report("offline", 1.0, 1.0), report("offline", 1.0, 1.0))
 
 
 def test_t_avg():
-    rep = report("dynamic", 30.0, 0.0, a_actual=frozenset({1, 2, 3}))
+    rep = report("asec", 30.0, 0.0, a_actual=frozenset({1, 2, 3}))
     assert rep.t_avg_ms == pytest.approx(10.0)
-    empty = report("dynamic", 0.0, 0.0, a_actual=frozenset())
+    empty = report("asec", 0.0, 0.0, a_actual=frozenset())
     assert empty.t_avg_ms == 0.0
 
 

@@ -11,7 +11,9 @@ from costplan.intervals import CostInterval
 from costplan.manifest import load_manifest
 from costplan.pddl import ground
 from costplan.remote import MockEstimatorServer, RemoteEstimatorClient
-from costplan.search import SearchConfig, asec, astar_offline
+from costplan.search import SearchConfig, asec, astar_offline, post_search_refine
+
+from helpers import make_task
 
 
 @pytest.fixture()
@@ -93,6 +95,27 @@ def test_real_latency_charges_measured_remote_time(drive_task):
     assert len(report.calls) == drive_task.n_actions
     assert all(entry.time_ms >= 20.0 for entry in report.calls)
     assert report.t_planning_ms < report.t_modeling_ms / 2
+
+
+def test_real_latency_refine_budget_counts_measured_time():
+    # three levels declared at 1 ms each, but every remote call takes ~30 ms
+    task = make_task(
+        [("a", {0}, {1}, set(), [(1.0, (5.0, 10.0)), (1.0, (6.0, 9.0)), (1.0, (7.0, 7.0))])],
+        goal={1},
+    )
+
+    class SlowServer:
+        def estimate(self, name, level):
+            time.sleep(0.03)
+            return task.chains[0].levels[level - 1][1], 1.0
+
+    registry = EstimatorRegistry(task, remote=SlowServer(), real_latency=True)
+    cert, _ = asec(task, SearchConfig(epsilon=float("inf")), registry)
+    assert not registry.ledger
+    refined = post_search_refine(cert, registry, budget_ms=5.0)
+    assert len(registry.ledger) == 1  # the first call spent the budget
+    assert registry.ledger[0].time_ms >= 30.0
+    assert (refined.lower, refined.upper) == (5.0, 10.0)
 
 
 def test_remote_matches_local_execution():
