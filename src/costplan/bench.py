@@ -199,6 +199,8 @@ class SuiteEntry:
 
 
 def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"suite entry {i}: must be an object")
     if ("domain" in raw, "problem" in raw, "generate" in raw) not in (
         (True, True, False), (False, False, True)
     ):
@@ -213,7 +215,7 @@ def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
         raise ConfigError(f"suite entry {i}: epsilons must all be >= 1")
     modes = tuple(raw.get("modes", list(MODES)))
     for mode in modes:
-        if mode not in MODES:
+        if not isinstance(mode, str) or mode not in MODES:
             raise ConfigError(f"suite entry {i}: unknown mode {mode!r}")
     heuristic = raw.get("heuristic", "hmax")
     if heuristic not in HEURISTICS:
@@ -241,7 +243,10 @@ def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
 def load_suite(path) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return tuple(_entry_from_json(i, raw) for i, raw in enumerate(doc.get("entries", [])))
+    entries = doc.get("entries", []) if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ConfigError("suite: need an object whose 'entries' is a list")
+    return tuple(_entry_from_json(i, raw) for i, raw in enumerate(entries))
 
 
 def _instance(entry: SuiteEntry) -> tuple:
@@ -263,10 +268,11 @@ def _instance(entry: SuiteEntry) -> tuple:
 
 
 def run_suite(suite, outdir) -> tuple:
-    """Run every (entry, seed, epsilon, mode) combination; never aborts.
+    """Run every (entry, seed, epsilon, mode) combination into result rows.
 
-    Writes an aggregate results.csv/.json in outdir plus one report pair
-    per run under outdir/runs/. Deterministic given the suite's seeds.
+    Only a PlanningError (or an OSError reading inputs) becomes an error row;
+    any other exception ends the batch. Writes results.csv/.json in outdir and
+    one report pair per run under outdir/runs/; deterministic given the seeds.
     """
     runs_dir = os.path.join(outdir, "runs")
     os.makedirs(runs_dir, exist_ok=True)  # creates outdir too

@@ -4,7 +4,7 @@ Each call is charged to the registry's time ledger, never waited out, so
 runs with hundreds of 100 ms estimator calls finish in milliseconds while
 the ledger stays exact. By default a call is charged its declared (or
 server-reported) time; with ``real_latency`` it is charged its measured
-wall time instead.
+wall time instead, also when the estimator turns out to be unavailable.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ class LedgerEntry:
     action_id: int
     level: int  # 1-based
     time_ms: float
+    failed: bool = False  # unavailable; charged only under real_latency
 
 
 class EstimatorRegistry:
@@ -33,7 +34,8 @@ class EstimatorRegistry:
     Levels are invoked sequentially per action (prefix invocation); each
     (action, level) pair is charged at most once: its declared or
     server-reported ``time_ms``, or with ``real_latency`` the measured wall
-    time of producing it. The ledger is the only accumulator of charges.
+    time of producing it, which a ``failed`` (unavailable) call is charged
+    too. The ledger is the only accumulator of charges.
     """
 
     def __init__(self, task: PlanningTask, remote=None, real_latency: bool = False):
@@ -69,6 +71,9 @@ class EstimatorRegistry:
             interval, time_ms = self._produce(action_id, level)
         except EstimatorUnavailableError:
             self._unavailable.add(action_id)
+            if self.real_latency:
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
+                self.ledger.append(LedgerEntry(action_id, level, elapsed_ms, failed=True))
             raise
         if self.real_latency:
             time_ms = (time.perf_counter() - started) * 1000.0
@@ -103,7 +108,7 @@ class EstimatorRegistry:
         return sum(e.time_ms for e in self.ledger)
 
     def estimated_actions(self) -> set[int]:
-        return {e.action_id for e in self.ledger}
+        return {e.action_id for e in self.ledger if not e.failed}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ come from PDDL; they come from the estimator manifest.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from .errors import GroundingError, PddlSyntaxError, UnsupportedFeatureError
@@ -44,34 +45,16 @@ class _Token:
     column: int
 
 
+_TOKEN = re.compile(r";|[()]|[^ \t\r\n();]+")  # a comment start, a parenthesis or a word
+
+
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i].lower(), line, start_col))
+    for line, chars in enumerate(text.split("\n"), 1):
+        for match in _TOKEN.finditer(chars):
+            if match.group() == ";":
+                break  # the comment runs to the end of the line
+            tokens.append(_Token(match.group().lower(), line, match.start() + 1))
     return tokens
 
 

@@ -91,13 +91,6 @@ class _HmaxEvaluator:
         self.lbs = [table.lb(a.id) for a in task.actions]
         self._raised_seen = len(table.raised)
         self._cache: dict = {}  # state -> (h, support mask)
-        self.by_pre: dict = {}
-        self.no_pre = []
-        for action in task.actions:
-            if not action.pre:
-                self.no_pre.append(action)
-            for f in action.pre:
-                self.by_pre.setdefault(f, []).append(action)
 
     def __call__(self, state) -> float:
         if len(self.table.raised) > self._raised_seen:
@@ -126,7 +119,8 @@ class _HmaxEvaluator:
         remaining = {}
         heap = [(0.0, f) for f in state]
         heapq.heapify(heap)
-        for action in self.no_pre:
+        by_pre = self.task.by_pre
+        for action in by_pre[None]:
             through = self.lbs[action.id]
             for f in action.add:
                 if cost.get(f, INF) > through:
@@ -144,7 +138,7 @@ class _HmaxEvaluator:
                 unsettled_goals -= 1
                 if unsettled_goals == 0:
                     return c, _support_mask(goal, supporter)
-            for action in self.by_pre.get(fact, ()):
+            for action in by_pre.get(fact, ()):
                 left = remaining.get(action.id)
                 if left is None:
                     left = len(action.pre)
@@ -192,29 +186,14 @@ def astar_lb(task: PlanningTask, table: CostTable, heuristic) -> tuple:
     """A* on lower-bound costs; duplicate detection with g reopening.
 
     Returns (plan or None, expansions). FIFO tie-breaking on equal f.
+    Nothing is memoized here: the heuristic is the only cache of h values.
     """
     counter = itertools.count()
-    h_memo: dict = {}
-
-    def h_of(state):
-        value = h_memo.get(state)
-        if value is None:
-            value = heuristic(state)
-            h_memo[state] = value
-        return value
-
-    start = task.init
-    h0 = h_of(start)
-    best_g = {start: 0.0}
-    open_heap = [(h0, next(counter), 0.0, start, None)]
+    best_g = {task.init: 0.0}
+    open_heap = [(heuristic(task.init), next(counter), 0.0, task.init, None)]
     expansions = 0
-    # candidate pruning: an action is applicable only if its first
-    # precondition fact is in the state
-    no_pre = [a for a in task.actions if not a.pre]
-    by_pre: dict = {}
-    for action in task.actions:
-        if action.pre:
-            by_pre.setdefault(min(action.pre), []).append(action)
+    # an action is tried only where its smallest precondition is in the state
+    by_first_pre = task.by_first_pre
     while open_heap:
         f, _, g, state, node = heapq.heappop(open_heap)
         if g > best_g.get(state, INF):
@@ -226,20 +205,20 @@ def astar_lb(task: PlanningTask, table: CostTable, heuristic) -> tuple:
                 plan.append(action_id)
             return tuple(reversed(plan)), expansions
         expansions += 1
-        candidates = list(no_pre)
-        for fact in state:
-            candidates.extend(by_pre.get(fact, ()))
-        for action in candidates:
-            if not action.pre <= state:
-                continue
-            succ = (state - action.delete) | action.add
-            g2 = g + table.lb(action.id)
-            if g2 < best_g.get(succ, INF) - TOLERANCE:
-                best_g[succ] = g2
-                h = h_of(succ)
-                if math.isinf(h):
+        for fact in itertools.chain((None,), state):
+            for action in by_first_pre.get(fact, ()):
+                if not action.pre <= state:
                     continue
-                heapq.heappush(open_heap, (g2 + h, next(counter), g2, succ, (action.id, node)))
+                succ = (state - action.delete) | action.add
+                g2 = g + table.lb(action.id)
+                if g2 < best_g.get(succ, INF) - TOLERANCE:
+                    best_g[succ] = g2
+                    h = heuristic(succ)
+                    if math.isinf(h):
+                        continue
+                    heapq.heappush(
+                        open_heap, (g2 + h, next(counter), g2, succ, (action.id, node))
+                    )
     return None, expansions
 
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import ModelInconsistencyError, PreconditionError
-from .intervals import CostInterval, accumulate  # noqa: F401  (re-exported)
+from .intervals import CostInterval, accumulate
 
 log = logging.getLogger("costplan.task")
 
@@ -63,6 +64,23 @@ class PlanningTask:
     @property
     def n_actions(self) -> int:
         return len(self.actions)
+
+    @cached_property
+    def by_pre(self) -> dict:
+        """Fact -> actions with that precondition, in id order; key None: those with none."""
+        index: dict = {None: []}
+        for action in self.actions:
+            for fact in action.pre or (None,):
+                index.setdefault(fact, []).append(action)
+        return index
+
+    @cached_property
+    def by_first_pre(self) -> dict:
+        """As by_pre, but each action only under its smallest precondition."""
+        return {
+            fact: [a for a in actions if fact is None or min(a.pre) == fact]
+            for fact, actions in self.by_pre.items()
+        }
 
     def true_plan_cost(self, plan) -> float:
         """Sum of hidden true costs along a plan (test/oracle use)."""

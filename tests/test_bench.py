@@ -144,8 +144,11 @@ def test_suite_validation():
         _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "seeds": []})
     with pytest.raises(ConfigError, match="epsilon"):
         _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "epsilons": [0.5]})
-    with pytest.raises(ConfigError, match="mode"):
-        _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "modes": ["x"]})
+    for modes in (["x"], [["asec"]]):
+        with pytest.raises(ConfigError, match="entry 0: unknown mode"):
+            _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "modes": modes})
+    with pytest.raises(ConfigError, match="entry 0: must be an object"):
+        _entry_from_json(0, 5)
     with pytest.raises(ConfigError, match="entry 0: unknown heuristic 'hmx'"):
         _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "heuristic": "hmx"})
     with pytest.raises(ConfigError, match="entry 0: synthetic: .*levles"):
@@ -164,10 +167,17 @@ def test_bench_suite_errors_exit_2(capsys, tmp_path):
     from costplan.cli import main
 
     grid = {"template": "gridworld", "rows": 2, "cols": 2}
-    for bad in ({"synthetic": {"levles": 2}}, {"synthetic": {}, "heuristic": "hmx"}):
-        path = write_suite(tmp_path, [{"generate": grid, **bad}])
+    bad_entries = (
+        {"synthetic": {"levles": 2}}, {"synthetic": {}, "heuristic": "hmx"},
+        {"synthetic": {}, "modes": [["asec"]]},
+    )
+    cases = [({"entries": [{"generate": grid, **bad}]}, "suite entry 0: ") for bad in bad_entries]
+    cases += [({"entries": [5]}, "suite entry 0: "), ([], "suite: "), ({"entries": {}}, "suite: ")]
+    path = tmp_path / "suite.json"
+    for doc, prefix in cases:
+        path.write_text(json.dumps(doc))
         assert main(["bench", "--suite", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: suite entry 0: ")
+        assert capsys.readouterr().err.startswith("error: " + prefix)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,17 @@ def test_unsupported_section_rejected():
 def test_syntax_error_carries_location():
     with pytest.raises(PddlSyntaxError, match="line"):
         parse_domain("(define (domain x) (:predicates (p))")
+    # CRLF line ends, tabs and comments (which may hold parentheses)
+    cases = [
+        ("(define (domain x))\r\n  )", 2, 3),
+        ("(define (domain x))\n\t\t(p)", 2, 3),
+        ("(define (domain x)) ; (p))\n;)\n \t)", 3, 3),
+        ("; (define\r\n(define (domain x)\r\n\t(:predicates (p)) ; )\r\n", 2, 1),
+    ]
+    for text, line, column in cases:
+        with pytest.raises(PddlSyntaxError) as info:
+            parse_domain(text)
+        assert (info.value.line, info.value.column) == (line, column), text
 
 
 def test_undeclared_variable_rejected():

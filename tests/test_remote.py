@@ -97,6 +97,22 @@ def test_real_latency_charges_measured_remote_time(drive_task):
     assert report.t_planning_ms < report.t_modeling_ms / 2
 
 
+def test_real_latency_charges_unavailable_calls_as_modeling(drive_task):
+    # a remote that takes ~20 ms per call and then fails
+    class FailingServer:
+        def estimate(self, name, level):
+            time.sleep(0.02)
+            raise EstimatorUnavailableError("down")
+
+    registry = EstimatorRegistry(drive_task, remote=FailingServer(), real_latency=True)
+    cert, report = astar_offline(drive_task, SearchConfig(epsilon=1.0), registry)
+    assert cert.verdict == "uncertified"  # the priors are kept
+    assert report.t_modeling_ms == registry.total_charged_ms() >= 20.0 * drive_task.n_actions
+    assert report.t_planning_ms < report.t_modeling_ms / 2
+    assert [entry.failed for entry in report.calls] == [True] * drive_task.n_actions
+    assert registry.estimated_actions() == set()
+
+
 def test_real_latency_refine_budget_counts_measured_time():
     # three levels declared at 1 ms each, but every remote call takes ~30 ms
     task = make_task(

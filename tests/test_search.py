@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -219,6 +220,71 @@ def test_asec_shared_hmax_matches_fresh_per_replan(monkeypatch, eps):
         # simulated mode, the expansion count as t_planning_ms
         assert cert == fresh_cert
         assert report == fresh_report
+
+
+# ---------------------------------------------------------------------------
+# The per-task action indexes: A* proposes exactly the applicable actions,
+# in the order of the full scan it replaced
+
+INDEX_TASKS = [lambda i=i: acceptance_instance(i, seed=i) for i in range(6)] + [
+    lambda: suite_instance(5, seed=3),  # logistics: load/unload have two preconditions
+    _two_goal_task,  # "spawn" has no precondition
+]
+
+
+@pytest.mark.parametrize(
+    "build", INDEX_TASKS, ids=[*(f"acc{i}" for i in range(6)), "suite-logistics-2goal", "two-goal"]
+)
+def test_action_indexes_propose_exactly_the_applicable_actions(monkeypatch, build):
+    task = build()
+    for fact in [None, *range(len(task.facts))]:
+        holders = [a for a in task.actions if (fact in a.pre if fact is not None else not a.pre)]
+        assert task.by_pre.get(fact, []) == holders
+    assert task.by_pre is task.by_pre and task.by_first_pre is task.by_first_pre
+    touched = set()
+
+    def recording(name, task, table):
+        heuristic = make_heuristic(name, task, table)
+        return lambda state: touched.add(state) or heuristic(state)
+
+    monkeypatch.setattr(search, "make_heuristic", recording)
+    asec(task, SearchConfig(epsilon=1.0))
+    assert task.init in touched
+    for state in touched:
+        proposed = [
+            a for fact in itertools.chain((None,), state)
+            for a in task.by_first_pre.get(fact, ()) if a.pre <= state
+        ]
+        scan = [a for a in task.actions if a.pre <= state]
+        assert sorted(proposed, key=lambda a: a.id) == scan
+        # precondition-free actions first, then by state fact, in id order
+        order = [None, *state]
+        assert proposed == sorted(
+            scan, key=lambda a: (order.index(min(a.pre)) if a.pre else 0, a.id)
+        )
+
+
+def test_asec_replans_once_per_estimator_call(monkeypatch):
+    # every successful call is followed by one replan, and the last replan
+    # gives the verdict; the heuristic is made once per episode
+    counts = {"astar_lb": 0, "make_heuristic": 0}
+    for name in counts:
+        original = getattr(search, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(search, name, counted)
+    calls = 0
+    for index in range(6):
+        task = acceptance_instance(index, seed=index)
+        for eps in (1.0, 1.5):
+            counts.update(astar_lb=0, make_heuristic=0)
+            _, report = asec(task, SearchConfig(epsilon=eps))
+            assert counts == {"astar_lb": len(report.calls) + 1, "make_heuristic": 1}
+            calls += len(report.calls)
+    assert calls > 50
 
 
 # ---------------------------------------------------------------------------
