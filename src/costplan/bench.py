@@ -207,10 +207,16 @@ def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
         raise ConfigError(f"suite entry {i}: give domain and problem, or generate")
     if not isinstance(raw.get("generate", {}), dict):
         raise ConfigError(f"suite entry {i}: generate must be an object")
+    for key in ("seeds", "epsilons", "modes"):
+        if not isinstance(raw.get(key, []), list):
+            raise ConfigError(f"suite entry {i}: {key} must be a list")
     seeds = tuple(raw.get("seeds", [0]))
     if not seeds:
         raise ConfigError(f"suite entry {i}: seeds must be nonempty")
-    epsilons = tuple(float(e) for e in raw.get("epsilons", [1.0]))
+    try:
+        epsilons = tuple(float(e) for e in raw.get("epsilons", [1.0]))
+    except (TypeError, ValueError):
+        raise ConfigError(f"suite entry {i}: epsilons must be numbers") from None
     if any(e < 1.0 for e in epsilons):
         raise ConfigError(f"suite entry {i}: epsilons must all be >= 1")
     modes = tuple(raw.get("modes", list(MODES)))
@@ -222,6 +228,8 @@ def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
         raise ConfigError(f"suite entry {i}: unknown heuristic {heuristic!r}")
     synthetic = None
     if "synthetic" in raw:
+        if not isinstance(raw["synthetic"], dict):
+            raise ConfigError(f"suite entry {i}: synthetic must be an object")
         params = dict(raw["synthetic"])
         if "cost_range" in params:
             params["cost_range"] = tuple(params["cost_range"])

@@ -8,6 +8,7 @@ logging level name (DEBUG, INFO, ...) to control verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import math
@@ -109,11 +110,15 @@ def _load_task(args):
     return ground(domain, problem, manifest)
 
 
-def _registry(task, args) -> EstimatorRegistry:
-    remote = None
-    if args.endpoint:
-        host, _, port = args.endpoint.rpartition(":")
-        remote = RemoteEstimatorClient(host or "127.0.0.1", int(port))
+def _remote(args):
+    """The --endpoint client, closed on exit; a context holding None without one."""
+    if not args.endpoint:
+        return contextlib.nullcontext()
+    host, _, port = args.endpoint.rpartition(":")
+    return RemoteEstimatorClient(host or "127.0.0.1", int(port))
+
+
+def _registry(task, args, remote) -> EstimatorRegistry:
     return EstimatorRegistry(task, remote=remote, real_latency=args.real_latency)
 
 
@@ -136,14 +141,15 @@ def _print_certificate(task, cert, report):
 def _cmd_plan(args) -> int:
     task = _load_task(args)
     config = SearchConfig(epsilon=args.epsilon, heuristic=args.heuristic)
-    registry = _registry(task, args)
-    cert, report = MODES[args.mode](task, config, registry)
-    if args.refine_budget_ms is not None and cert.plan is not None:
-        cert = post_search_refine(cert, registry, args.refine_budget_ms)
-        report = dataclasses.replace(  # count the refinement calls too
-            report, a_actual=report.a_actual | registry.estimated_actions(),
-            calls=tuple(registry.ledger), t_modeling_ms=registry.total_charged_ms(),
-        )
+    with _remote(args) as remote:
+        registry = _registry(task, args, remote)
+        cert, report = MODES[args.mode](task, config, registry)
+        if args.refine_budget_ms is not None and cert.plan is not None:
+            cert = post_search_refine(cert, registry, args.refine_budget_ms)
+            report = dataclasses.replace(  # count the refinement calls too
+                report, a_actual=report.a_actual | registry.estimated_actions(),
+                calls=tuple(registry.ledger), t_modeling_ms=registry.total_charged_ms(),
+            )
     _print_certificate(task, cert, report)
     if args.out:
         paths = emit_report([RunRecord.from_episode(cert, report, task)], args.out)
@@ -154,8 +160,9 @@ def _cmd_plan(args) -> int:
 def _cmd_compare(args) -> int:
     task = _load_task(args)
     config = SearchConfig(epsilon=args.epsilon, heuristic=args.heuristic)
-    cert_dyn, rep_dyn = asec(task, config, _registry(task, args))
-    cert_off, rep_off = astar_offline(task, config, _registry(task, args))
+    with _remote(args) as remote:  # one client serves both registries
+        cert_dyn, rep_dyn = asec(task, config, _registry(task, args, remote))
+        cert_off, rep_off = astar_offline(task, config, _registry(task, args, remote))
     comparison = compare(rep_dyn, rep_off)
     print(f"dynamic : modeling {rep_dyn.t_modeling_ms:.6g} ms, "
           f"planning {rep_dyn.t_planning_ms:.6g} ms, verdict {cert_dyn.verdict}")

@@ -33,6 +33,8 @@ from .task import ChainSpec, Fact, GroundAction, PlanningTask
 
 SUPPORTED_REQUIREMENTS = {":strips", ":typing"}
 ROOT_TYPE = "object"
+#: Words the parser reads as formula heads, never as predicate names.
+RESERVED_HEADS = frozenset({"and", "not", "or", "forall", "exists", "when", "="})
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +167,7 @@ def _parse_atom(expr, context: str) -> Atom:
     if not isinstance(expr, list) or not expr:
         raise PddlSyntaxError(f"expected an atom in {context}")
     head = _word(expr[0], context)
-    if head in ("and", "not", "or", "forall", "exists", "when", "="):
+    if head in RESERVED_HEADS:
         raise UnsupportedFeatureError(f"'{head}' not allowed as a predicate in {context}")
     return Atom(head, tuple(_word(a, context) for a in expr[1:]))
 

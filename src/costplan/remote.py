@@ -4,8 +4,9 @@ Request:  {"action": <string>, "level": <int >= 1>}
 Reply:    {"lb": <number>, "ub": <number|null>, "time_ms": <number>}
        or {"error": <string>}
 
-The mock server answers from a loaded EstimatorManifest, so remote runs
-reproduce local ones exactly.
+A connection carries any number of request/reply pairs, one line each, in
+order; the client keeps one open across calls. The mock server answers from a
+loaded EstimatorManifest, so remote runs reproduce local ones exactly.
 """
 
 from __future__ import annotations
@@ -25,40 +26,73 @@ POLL_INTERVAL_S = 0.01
 
 
 class RemoteEstimatorClient:
-    """Synchronous, blocking client; one connection per estimate call."""
+    """Synchronous, blocking client over one persistent connection.
+
+    The connection opens on the first call and stays open until close(). A
+    call that fails on a connection an earlier call opened (the server may
+    have closed it since) reconnects once and resends: a lookup is idempotent.
+    A failure on a fresh connection, or a timeout, raises at once. Any failure
+    or malformed reply drops the connection, so a late reply is never read as
+    the answer to the next call; an {"error": ...} reply keeps it.
+    """
 
     def __init__(self, host: str, port: int, timeout_s: float = 10.0):
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
+        self._sock = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def estimate(self, action_name: str, level: int) -> tuple[CostInterval, float]:
         """Interval plus the server-reported time_ms."""
-        request = json.dumps({"action": action_name, "level": level}) + "\n"
-        try:
-            with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
-                sock.sendall(request.encode("utf-8"))
-                with sock.makefile("r", encoding="utf-8") as fh:
-                    line = fh.readline()
-        except OSError as exc:
-            raise EstimatorUnavailableError(f"estimator endpoint unreachable: {exc}") from exc
+        request = (json.dumps({"action": action_name, "level": level}) + "\n").encode("utf-8")
+        while True:  # at most twice: a retry always runs on a fresh connection
+            reused = self._sock is not None
+            try:
+                line = self._roundtrip(request).decode("utf-8", "replace")
+                break
+            except OSError as exc:
+                self.close()
+                if not reused or isinstance(exc, TimeoutError):
+                    raise EstimatorUnavailableError(
+                        f"estimator endpoint unreachable: {exc}") from exc
 
         try:
             reply = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EstimatorUnavailableError(f"malformed estimator reply: {line!r}") from exc
-        if not isinstance(reply, dict):
-            raise EstimatorUnavailableError(f"malformed estimator reply: {line!r}")
-        if "error" in reply:
-            raise EstimatorUnavailableError(f"estimator error: {reply['error']}")
-        try:
+            if not isinstance(reply, dict):
+                raise TypeError("reply is not an object")
+            if "error" in reply:
+                raise EstimatorUnavailableError(f"estimator error: {reply['error']}")
             lb = float(reply["lb"])
             ub = INF if reply["ub"] is None else float(reply["ub"])
-            time_ms = float(reply["time_ms"])
-            interval = CostInterval(lb, ub)
+            return CostInterval(lb, ub), float(reply["time_ms"])
         except (KeyError, TypeError, ValueError) as exc:
+            self.close()
             raise EstimatorUnavailableError(f"malformed estimator reply: {line!r}") from exc
-        return interval, time_ms
+
+    def _roundtrip(self, request: bytes) -> bytes:
+        """Send one request line and read one reply line; EOF is a ConnectionError."""
+        if self._sock is None:
+            self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout_s)
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock.sendall(request)
+        line = b""
+        while not line.endswith(b"\n"):
+            chunk = self._sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("estimator server closed the connection")
+            line += chunk
+        return line
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -205,10 +205,10 @@ def test_criterion_9_remote_matches_local():
         server = MockEstimatorServer(manifest)
         server.start_background()
         try:
-            client = RemoteEstimatorClient("127.0.0.1", server.port)
-            remote_cert, _ = asec(
-                task, SearchConfig(epsilon=1.2), EstimatorRegistry(task, remote=client)
-            )
+            with RemoteEstimatorClient("127.0.0.1", server.port) as client:
+                remote_cert, _ = asec(
+                    task, SearchConfig(epsilon=1.2), EstimatorRegistry(task, remote=client)
+                )
         finally:
             server.shutdown()
             server.server_close()

@@ -161,6 +161,13 @@ def test_suite_validation():
             _entry_from_json(0, {**form, "manifest": "m"})
     with pytest.raises(ConfigError, match="generate must be an object"):
         _entry_from_json(0, {"generate": "gridworld", "manifest": "m"})
+    for key in ("seeds", "epsilons", "modes"):
+        with pytest.raises(ConfigError, match=f"entry 0: {key} must be a list"):
+            _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", key: 5})
+    with pytest.raises(ConfigError, match="entry 0: epsilons must be numbers"):
+        _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "epsilons": ["x"]})
+    with pytest.raises(ConfigError, match="entry 0: synthetic must be an object"):
+        _entry_from_json(0, {"domain": "d", "problem": "p", "synthetic": 5})
 
 
 def test_bench_suite_errors_exit_2(capsys, tmp_path):
@@ -169,7 +176,8 @@ def test_bench_suite_errors_exit_2(capsys, tmp_path):
     grid = {"template": "gridworld", "rows": 2, "cols": 2}
     bad_entries = (
         {"synthetic": {"levles": 2}}, {"synthetic": {}, "heuristic": "hmx"},
-        {"synthetic": {}, "modes": [["asec"]]},
+        {"synthetic": {}, "modes": [["asec"]]}, {"synthetic": {}, "seeds": 5},
+        {"synthetic": 5}, {"synthetic": {}, "epsilons": 1.5}, {"synthetic": {}, "epsilons": ["x"]},
     )
     cases = [({"entries": [{"generate": grid, **bad}]}, "suite entry 0: ") for bad in bad_entries]
     cases += [({"entries": [5]}, "suite entry 0: "), ([], "suite: "), ({"entries": {}}, "suite: ")]

@@ -12,6 +12,7 @@ from costplan.pddl import (
     Atom,
     DomainAst,
     PredicateSchema,
+    RESERVED_HEADS,
     ProblemAst,
     enumerate_bindings,
     ground,
@@ -226,7 +227,9 @@ def test_problem_roundtrip(drive_paths):
     assert parse_problem(print_problem(problem)) == problem
 
 
-names = st.from_regex(r"[a-z][a-z0-9\-]{0,6}", fullmatch=True)
+names = st.from_regex(r"[a-z][a-z0-9\-]{0,6}", fullmatch=True).filter(
+    lambda name: name not in RESERVED_HEADS
+)
 
 
 @settings(max_examples=50, deadline=None)

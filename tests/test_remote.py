@@ -1,6 +1,9 @@
+import gc
 import json
 import socket
+import socketserver
 import time
+import warnings
 
 import pytest
 
@@ -16,9 +19,35 @@ from costplan.search import SearchConfig, asec, astar_offline, post_search_refin
 from helpers import make_task
 
 
+class CountingServer(MockEstimatorServer):
+    """A MockEstimatorServer that records the connections it accepts and closes.
+
+    With `hang_up` set, it closes each new connection without reading from it.
+    """
+
+    def __init__(self, manifest, handler=None):
+        super().__init__(manifest)
+        if handler is not None:
+            self.RequestHandlerClass = handler
+        self.connections = []
+        self.closed = 0
+        self.hang_up = False
+
+    def process_request(self, request, client_address):
+        self.connections.append(request)
+        if self.hang_up:
+            self.shutdown_request(request)
+        else:
+            super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self.closed += 1
+        super().shutdown_request(request)
+
+
 @pytest.fixture()
 def drive_server(drive_paths):
-    server = MockEstimatorServer(load_manifest(drive_paths["manifest"]))
+    server = CountingServer(load_manifest(drive_paths["manifest"]))
     server.start_background()
     yield server
     server.shutdown()
@@ -53,21 +82,130 @@ def test_level_out_of_range(drive_server):
 
 
 def test_client_roundtrip(drive_server):
-    client = RemoteEstimatorClient("127.0.0.1", drive_server.port)
-    interval, time_ms = client.estimate("drive a b", 2)
+    with RemoteEstimatorClient("127.0.0.1", drive_server.port) as client:
+        interval, time_ms = client.estimate("drive a b", 2)
     assert (interval.lb, interval.ub, time_ms) == (7.0, 7.0, 100.0)
 
 
 def test_client_error_surfaces_as_unavailable(drive_server):
-    client = RemoteEstimatorClient("127.0.0.1", drive_server.port)
-    with pytest.raises(EstimatorUnavailableError):
-        client.estimate("teleport", 1)
+    with RemoteEstimatorClient("127.0.0.1", drive_server.port) as client:
+        with pytest.raises(EstimatorUnavailableError, match="unknown action"):
+            client.estimate("teleport", 1)
 
 
-def test_client_unreachable_endpoint():
-    client = RemoteEstimatorClient("127.0.0.1", 1, timeout_s=0.2)
-    with pytest.raises(EstimatorUnavailableError):
+def test_client_unreachable_endpoint(monkeypatch):
+    attempts = []
+    connect = socket.create_connection
+
+    def counting_connect(address, *args, **kwargs):
+        attempts.append(address)
+        return connect(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting_connect)
+    with RemoteEstimatorClient("127.0.0.1", 1, timeout_s=0.2) as client:
+        with pytest.raises(EstimatorUnavailableError, match="unreachable"):
+            client.estimate("drive a b", 1)
+    assert attempts == [("127.0.0.1", 1)]
+
+
+def test_client_keeps_one_connection(drive_server):
+    with RemoteEstimatorClient("127.0.0.1", drive_server.port) as client:
+        replies = [client.estimate("drive a b", level) for level in (1, 2, 1, 2, 2)]
+    assert [interval.lb for interval, _ in replies] == [5.0, 7.0, 5.0, 7.0, 7.0]
+    assert len(drive_server.connections) == 1
+
+
+def test_error_reply_keeps_the_connection(drive_server):
+    with RemoteEstimatorClient("127.0.0.1", drive_server.port) as client:
         client.estimate("drive a b", 1)
+        with pytest.raises(EstimatorUnavailableError, match="unknown action"):
+            client.estimate("teleport", 1)
+        interval, _ = client.estimate("drive a b", 2)
+    assert interval == CostInterval(7.0, 7.0)
+    assert len(drive_server.connections) == 1
+
+
+def test_client_reconnects_once_after_server_closes(drive_server):
+    with RemoteEstimatorClient("127.0.0.1", drive_server.port) as client:
+        client.estimate("drive a b", 1)
+        drive_server.connections[0].shutdown(socket.SHUT_RDWR)
+        interval, _ = client.estimate("drive a b", 2)
+        assert interval == CostInterval(7.0, 7.0)
+        assert len(drive_server.connections) == 2
+
+        # the retry is bounded: a reconnect that fails too makes the call fail
+        drive_server.hang_up = True
+        drive_server.connections[1].shutdown(socket.SHUT_RDWR)
+        with pytest.raises(EstimatorUnavailableError):  # EOF, or a reset if the hang-up wins
+            client.estimate("drive a b", 2)
+        assert len(drive_server.connections) == 3
+
+
+class LateReplyHandler(socketserver.StreamRequestHandler):
+    """Answers "slow" only once the next request on its connection arrives.
+
+    Every reply carries lb 1 for "slow" and lb 2 for any other action, so a
+    client that reads a late reply as the next call's answer sees lb 1.
+    Answers "garbage" with a line that is not JSON.
+    """
+
+    def handle(self):
+        late = b""
+        for raw in self.rfile:
+            action = json.loads(raw)["action"]
+            if action == "slow":
+                late = b'{"lb": 1, "ub": 1, "time_ms": 0}\n'
+            elif action == "garbage":
+                self.wfile.write(b"not json\n")
+            else:
+                self.wfile.write(late + b'{"lb": 2, "ub": 2, "time_ms": 0}\n')
+                late = b""
+
+
+@pytest.fixture()
+def late_server(drive_paths):
+    server = CountingServer(load_manifest(drive_paths["manifest"]), LateReplyHandler)
+    server.start_background()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+def test_timeout_drops_the_connection(late_server):
+    with RemoteEstimatorClient("127.0.0.1", late_server.port, timeout_s=0.5) as client:
+        assert client.estimate("fast", 1)[0].lb == 2.0
+        with pytest.raises(EstimatorUnavailableError, match="timed out"):
+            client.estimate("slow", 1)
+        assert client.estimate("fast", 1)[0].lb == 2.0  # its own reply, not the late one
+    assert len(late_server.connections) == 2
+
+
+def test_malformed_reply_drops_the_connection(late_server):
+    with RemoteEstimatorClient("127.0.0.1", late_server.port) as client:
+        with pytest.raises(EstimatorUnavailableError, match="malformed"):
+            client.estimate("garbage", 1)
+        assert client.estimate("fast", 1)[0].lb == 2.0
+    assert len(late_server.connections) == 2
+
+
+@pytest.mark.parametrize("command", ["plan", "compare"])
+def test_cli_closes_its_connection(capsys, drive_paths, drive_server, command):
+    from costplan.cli import main
+
+    argv = [command, "--domain", drive_paths["domain"], "--problem", drive_paths["problem"],
+            "--manifest", drive_paths["manifest"], "--epsilon", "1.2",
+            "--endpoint", f"127.0.0.1:{drive_server.port}"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(argv) == 0
+        gc.collect()
+    capsys.readouterr()
+    # closed explicitly, not left to the garbage collector
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    deadline = time.monotonic() + 5.0  # the server sees EOF once the client has closed
+    while drive_server.closed < 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert (len(drive_server.connections), drive_server.closed) == (1, 1)
 
 
 def test_unavailable_treated_as_chain_exhausted(drive_task, drive_server):
@@ -142,9 +280,9 @@ def test_remote_matches_local_execution():
     server.start_background()
     try:
         local_cert, local_report = asec(task, SearchConfig(epsilon=1.2))
-        client = RemoteEstimatorClient("127.0.0.1", server.port)
-        registry = EstimatorRegistry(task, remote=client)
-        remote_cert, remote_report = asec(task, SearchConfig(epsilon=1.2), registry)
+        with RemoteEstimatorClient("127.0.0.1", server.port) as client:
+            registry = EstimatorRegistry(task, remote=client)
+            remote_cert, remote_report = asec(task, SearchConfig(epsilon=1.2), registry)
     finally:
         server.shutdown()
         server.server_close()
