@@ -21,6 +21,7 @@ synthetic manifests. "synthetic" takes SyntheticConfig's fields.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import random
@@ -42,6 +43,8 @@ from .pddl import (
     parse_problem,
 )
 from .search import HEURISTICS, MODES, SearchConfig
+
+log = logging.getLogger("costplan.bench")
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +281,12 @@ def _instance(entry: SuiteEntry) -> tuple:
 def run_suite(suite, outdir) -> tuple:
     """Run every (entry, seed, epsilon, mode) combination into result rows.
 
-    Only a PlanningError (or an OSError reading inputs) becomes an error row;
-    any other exception ends the batch. Writes results.csv/.json in outdir and
-    one report pair per run under outdir/runs/; deterministic given the seeds.
+    A PlanningError or OSError while reading, generating or grounding an
+    instance becomes that instance's error row. Any Exception raised by a
+    run becomes that run's ``run-error`` row: ``run-error: <msg>`` for a
+    PlanningError, ``run-error: <Type>: <msg>`` otherwise. KeyboardInterrupt
+    still ends the batch. Writes results.csv/.json in outdir and one report
+    pair per run under outdir/runs/; deterministic given the seeds.
     """
     runs_dir = os.path.join(outdir, "runs")
     os.makedirs(runs_dir, exist_ok=True)  # creates outdir too
@@ -314,6 +320,11 @@ def run_suite(suite, outdir) -> tuple:
                         records.append(
                             _failure_record(instance, f"run-error: {exc}", mode, epsilon)
                         )
+                        continue
+                    except Exception as exc:  # a bug in one run must not end the batch
+                        log.exception("%s, epsilon %s, mode %s: run failed", instance, epsilon, mode)
+                        status = f"run-error: {type(exc).__name__}: {exc}"
+                        records.append(_failure_record(instance, status, mode, epsilon))
                         continue
                     reports[mode] = report
                     records.append(RunRecord.from_episode(cert, report, task))

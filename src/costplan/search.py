@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -23,9 +24,11 @@ from .errors import (
     OracleBoundExceededError,
 )
 from .estimators import EstimatorRegistry
-from .intervals import INF, TOLERANCE
+from .intervals import INF, TOLERANCE, CostInterval
 from .metrics import MetricsReport
 from .task import CostTable, PlanningTask, is_goal
+
+log = logging.getLogger("costplan.search")
 
 #: Deterministic planning-time proxy in simulated mode: search effort is
 #: charged per node expansion so machine outputs are reproducible.
@@ -68,7 +71,9 @@ class _HmaxEvaluator:
     """Delete-relaxation h_max over current lower-bound costs.
 
     Generalized Dijkstra over facts: an action fires when its last
-    precondition is settled, at the max of its precondition costs.
+    precondition is settled, at the max of its precondition costs. It runs
+    over the flat per-action and per-fact arrays of ``task.relaxed``,
+    compiled once per task on first use, and visits actions in id order.
 
     One evaluator serves a whole asec episode. Per state it caches the h
     value and a support mask: a bitmask over action ids holding the best
@@ -114,58 +119,55 @@ class _HmaxEvaluator:
         goal = self.task.goal
         if goal <= state:
             return 0.0, 0
-        cost = dict.fromkeys(state, 0.0)
-        supporter = {}
-        remaining = {}
+        pre_count, pre, add, by_pre, free, is_goal = self.task.relaxed
+        lbs = self.lbs
+        cost = [INF] * len(is_goal)
+        supporter = [-1] * len(is_goal)
+        for f in state:
+            cost[f] = 0.0
         heap = [(0.0, f) for f in state]
         heapq.heapify(heap)
-        by_pre = self.task.by_pre
-        for action in by_pre[None]:
-            through = self.lbs[action.id]
-            for f in action.add:
-                if cost.get(f, INF) > through:
+        push, pop = heapq.heappush, heapq.heappop
+        for a in free:
+            through = lbs[a]
+            for f in add[a]:
+                if cost[f] > through:
                     cost[f] = through
-                    supporter[f] = action
-                    heapq.heappush(heap, (through, f))
+                    supporter[f] = a
+                    push(heap, (through, f))
+        remaining = pre_count.copy()
         unsettled_goals = len(goal)  # goal facts in the state settle too
-        settled = set()
         while heap:
-            c, fact = heapq.heappop(heap)
-            if fact in settled:
-                continue
-            settled.add(fact)
-            if fact in goal:
+            c, fact = pop(heap)
+            if c > cost[fact]:
+                continue  # stale: costs only fall, so one entry per fact is current
+            if is_goal[fact]:
                 unsettled_goals -= 1
-                if unsettled_goals == 0:
-                    return c, _support_mask(goal, supporter)
-            for action in by_pre.get(fact, ()):
-                left = remaining.get(action.id)
-                if left is None:
-                    left = len(action.pre)
-                left -= 1
-                remaining[action.id] = left
-                if left == 0:
-                    through = c + self.lbs[action.id]
-                    for f in action.add:
-                        if cost.get(f, INF) > through:
+                if not unsettled_goals:
+                    return c, _support_mask(goal, supporter, pre)
+            for a in by_pre[fact]:
+                left = remaining[a] - 1
+                remaining[a] = left
+                if not left:
+                    through = c + lbs[a]
+                    for f in add[a]:
+                        if cost[f] > through:
                             cost[f] = through
-                            supporter[f] = action
-                            heapq.heappush(heap, (through, f))
+                            supporter[f] = a
+                            push(heap, (through, f))
         return INF, 0
 
 
-def _support_mask(goal, supporter: dict) -> int:
+def _support_mask(goal, supporter: list, pre: list) -> int:
     """Bitmask of the supporter actions reachable back from the goal facts."""
     mask = 0
-    stack = [f for f in goal if f in supporter]
-    seen = set(stack)
+    stack = [supporter[f] for f in goal]
     while stack:
-        action = supporter[stack.pop()]
-        mask |= 1 << action.id
-        for f in action.pre:
-            if f in supporter and f not in seen:
-                seen.add(f)
-                stack.append(f)
+        a = stack.pop()
+        if a < 0 or mask >> a & 1:
+            continue
+        mask |= 1 << a
+        stack.extend(supporter[f] for f in pre[a])
     return mask
 
 
@@ -272,25 +274,38 @@ def _solve(
     the whole episode: h_max keeps every value the refinement cannot have
     changed (see ``_HmaxEvaluator``). Memoized estimator results persist
     across replans, so total invocations are bounded by the total chain
-    length. ``started`` is the episode's ``perf_counter`` start.
+    length. ``started`` is the episode's ``perf_counter`` start. Each
+    replan logs one DEBUG line on the ``costplan.search`` logger.
     """
     table = registry.table
     heuristic = make_heuristic(config.heuristic, task, table)
     expansions = 0
-    while True:
+    for replan in itertools.count(1):
         plan, exp = astar_lb(task, table, heuristic)
         expansions += exp
+        bound = CostInterval(INF, INF) if plan is None else table.plan_interval(plan)
+        lb, ub = bound.lb, bound.ub
+        ratio = ub / lb if lb > 0 else (INF if ub > 0 else 1.0)
         if plan is None:
-            cert = PlanCertificate(None, INF, INF, config.epsilon, "no-plan")
+            verdict = "no-plan"
+        elif certified(lb, ub, config.epsilon):
+            verdict = "certified"
+        else:
+            target = _pick_refinement(plan, registry)
+            verdict = "uncertified" if target is None else None
+        if verdict is not None:
+            log.debug(
+                "replan %d: plan length %d, cost [%s, %s], ub/lb %s, %d expansions; %s",
+                replan, len(plan or ()), lb, ub, ratio, exp, verdict,
+            )
+            cert = PlanCertificate(plan, lb, ub, config.epsilon, verdict)
             break
-        bound = table.plan_interval(plan)
-        if certified(bound.lb, bound.ub, config.epsilon):
-            cert = PlanCertificate(plan, bound.lb, bound.ub, config.epsilon, "certified")
-            break
-        target = _pick_refinement(plan, registry)
-        if target is None:
-            cert = PlanCertificate(plan, bound.lb, bound.ub, config.epsilon, "uncertified")
-            break
+        log.debug(
+            "replan %d: plan length %d, cost [%s, %s], ub/lb %s, %d expansions; "
+            "refine %s level %d",
+            replan, len(plan), lb, ub, ratio, exp,
+            task.actions[target].name, table.next_level[target] + 1,
+        )
         try:
             registry.invoke_next(target)
         except EstimatorUnavailableError:

@@ -75,6 +75,29 @@ class PlanningTask:
         return index
 
     @cached_property
+    def relaxed(self) -> tuple:
+        """h_max's flat arrays: (pre_count, pre, add, by_pre, free, is_goal).
+
+        Per action id: precondition count and pre/add fact-id tuples. Per fact
+        id: ids of the actions with that precondition (by_pre order) and a
+        goal flag; free holds the precondition-free action ids. Facts are
+        numbered up to the largest id in init, goal or any action, which may
+        exceed ``len(facts)``.
+        """
+        n_facts = 1 + max([
+            len(self.facts) - 1, *self.init, *self.goal,
+            *(f for a in self.actions for f in a.pre | a.add),
+        ])
+        return (
+            [len(a.pre) for a in self.actions],
+            [tuple(a.pre) for a in self.actions],
+            [tuple(a.add) for a in self.actions],
+            [tuple(a.id for a in self.by_pre.get(f, ())) for f in range(n_facts)],
+            tuple(a.id for a in self.by_pre[None]),
+            [f in self.goal for f in range(n_facts)],
+        )
+
+    @cached_property
     def by_first_pre(self) -> dict:
         """As by_pre, but each action only under its smallest precondition."""
         return {

@@ -79,3 +79,25 @@ def acceptance_instance(index, seed):
         )
     manifest = synthetic_manifest_for(domain, problem, seed, SyntheticConfig(levels=3))
     return ground(domain, problem, manifest, name=f"acc{index}-s{seed}")
+
+
+def reference_hmax(state, task, lbs):
+    """h_max by value iteration, independent of the search module's kernel.
+
+    Repeats cost(f) = min over actions adding f of (max of cost(pre) + lb)
+    from cost 0 on the state's facts until nothing changes, which reaches the
+    least fixpoint; h is the max goal-fact cost, +inf if one is unreached.
+    """
+    cost = dict.fromkeys(state, 0.0)
+    changed = True
+    while changed:
+        changed = False
+        for action in task.actions:
+            if not all(f in cost for f in action.pre):
+                continue
+            through = max((cost[f] for f in action.pre), default=0.0) + lbs[action.id]
+            for f in action.add:
+                if through < cost.get(f, INF):
+                    cost[f] = through
+                    changed = True
+    return max((cost.get(f, INF) for f in task.goal), default=0.0)

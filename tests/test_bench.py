@@ -238,6 +238,38 @@ def test_generate_errors_become_error_rows(tmp_path):
     assert by_instance["ok#s0"] == "ok"
 
 
+def test_unexpected_run_exception_becomes_one_error_row(caplog, capsys, monkeypatch, tmp_path):
+    from costplan.cli import main
+    from costplan.search import MODES
+
+    offline = MODES["offline"]
+
+    def flaky(task, config):
+        if task.name.endswith("#s1"):
+            raise RuntimeError("estimator backend exploded")
+        return offline(task, config)
+
+    monkeypatch.setitem(MODES, "offline", flaky)
+    dpath, ppath = write_instance(tmp_path)
+    path = write_suite(tmp_path, [{
+        "name": "g3", "domain": dpath, "problem": ppath, "synthetic": {},
+        "seeds": [0, 1], "epsilons": [1.5], "modes": ["asec", "offline"],
+    }])
+    out = tmp_path / "out"
+    assert main(["bench", "--suite", str(path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
+    assert [(r["instance"], r["mode"]) for r in rows] == [
+        ("g3#s0", "asec"), ("g3#s0", "offline"), ("g3#s1", "asec"), ("g3#s1", "offline"),
+    ]
+    assert [r["status"] for r in rows] == [
+        "ok", "ok", "ok", "run-error: RuntimeError: estimator backend exploded",
+    ]
+    assert len(os.listdir(out / "runs")) == 2 * 3  # a CSV/JSON pair per run that finished
+    assert "wrote" in capsys.readouterr().out
+    assert "g3#s1, epsilon 1.5, mode offline: run failed" in caplog.text
+    assert "RuntimeError: estimator backend exploded" in caplog.text  # with its traceback
+
+
 def test_checked_in_suites_load():
     paths = sorted(glob.glob(os.path.join(SUITES, "*.json")))
     assert len(paths) >= 2

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -98,8 +99,8 @@ def test_machine_outputs_byte_identical(capsys, drive_paths, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run(capsys, *plan_args(drive_paths, "--epsilon", "1.2", "--out", str(a)))
     run(capsys, *plan_args(drive_paths, "--epsilon", "1.2", "--out", str(b)))
-    assert open(f"{a}.csv", "rb").read() == open(f"{b}.csv", "rb").read()
-    assert open(f"{a}.json", "rb").read() == open(f"{b}.json", "rb").read()
+    for suffix in (".csv", ".json"):
+        assert Path(f"{a}{suffix}").read_bytes() == Path(f"{b}{suffix}").read_bytes()
 
 
 def test_gen_instances_and_estimators_pipeline(capsys, tmp_path):

@@ -1,6 +1,8 @@
 import itertools
+import logging
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from costplan.bench import gen_gridworld, synthetic_manifest_for
 from costplan.errors import MissingTrueCostError, OracleBoundExceededError
 from costplan.estimators import EstimatorRegistry, SyntheticConfig
 from costplan.intervals import INF, TOLERANCE
+from costplan.metrics import RunRecord, emit_report
 from costplan.pddl import ground
 from costplan.search import (
     SearchConfig,
@@ -24,7 +27,7 @@ from costplan.search import (
 )
 from costplan.task import CostTable
 
-from helpers import acceptance_instance, make_task, suite_instance
+from helpers import acceptance_instance, make_task, reference_hmax, suite_instance
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +198,8 @@ def test_persistent_hmax_equals_fresh_after_each_refinement(build):
         plan, _ = astar_lb(task, table, recording)
         for state in touched:
             calls += 1
-            assert evaluator(state) == hmax(state, task, table)
+            lbs = [table.lb(a) for a in range(task.n_actions)]
+            assert evaluator(state) == hmax(state, task, table) == reference_hmax(state, task, lbs)
         # half the refinements hit the current plan, as asec's do
         pool = list(plan or ()) if rng.random() < 0.5 else range(task.n_actions)
         refinable = [a for a in pool if registry.refinable(a)] or [
@@ -220,6 +224,49 @@ def test_asec_shared_hmax_matches_fresh_per_replan(monkeypatch, eps):
         # simulated mode, the expansion count as t_planning_ms
         assert cert == fresh_cert
         assert report == fresh_report
+
+
+def _goal_outside_facts():
+    # fact 9 is in init and goal but in no action, so make_task leaves it out of facts
+    return make_task(
+        [
+            ("a", {0}, {1}, set(), _nested_chain(1.0)),
+            ("b", {1}, {2}, set(), _nested_chain(0.5)),
+            ("c", {0}, {2}, set(), _nested_chain(2.0)),
+        ],
+        goal={2, 9},
+        init={0, 9},
+        name="goal-outside-facts",
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda i=i: acceptance_instance(i, seed=i) for i in range(6)]
+    + [lambda: suite_instance(5, seed=3), _two_goal_task, _goal_outside_facts],
+    ids=[*(f"acc{i}" for i in range(6)), "suite-logistics-2goal", "two-goal", "goal-outside-facts"],
+)
+def test_hmax_kernel_equals_value_iteration_reference(monkeypatch, build):
+    """Exact floats on every state an asec episode's A* touches, as lbs rise."""
+    task = build()
+    lbs_seen = set()
+
+    def checked(name, task, table):
+        heuristic = make_heuristic(name, task, table)
+
+        def check(state):
+            lbs = tuple(table.lb(a) for a in range(task.n_actions))
+            lbs_seen.add(lbs)
+            h = heuristic(state)
+            assert h == reference_hmax(state, task, lbs)
+            return h
+
+        return check
+
+    monkeypatch.setattr(search, "make_heuristic", checked)
+    cert, _ = asec(task, SearchConfig(epsilon=1.0))
+    # lbs were raised between replans, unless the goal holds in init (acc0, acc3)
+    assert len(lbs_seen) > 1 or (cert.plan == () and task.goal <= task.init)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +410,23 @@ def test_asec_epsilon_infinity_returns_lb_optimal():
     assert cert.verdict == "certified"
     assert cert.plan == (1,)  # minimizes lb under the initial table
     assert report.calls == ()
+
+
+def test_replans_logged_at_debug_without_changing_outputs(caplog, tmp_path):
+    task = _grid_5x5(seed=4)
+    outputs = []
+    for level in (logging.WARNING, logging.DEBUG):
+        caplog.set_level(level, logger="costplan.search")
+        cert, report = asec(task, SearchConfig(epsilon=1.5))
+        paths = emit_report([RunRecord.from_episode(cert, report, task)], tmp_path / str(level))
+        outputs.append(tuple(Path(p).read_bytes() for p in paths))
+        if level == logging.WARNING:
+            assert not caplog.records
+    assert outputs[0] == outputs[1]
+    lines = [r.getMessage() for r in caplog.records if r.name == "costplan.search"]
+    assert len(lines) == len(report.calls) + 1 > 1  # one line per replan
+    assert lines[0].startswith("replan 1: plan length ") and " refine " in lines[0]
+    assert lines[-1].endswith("; certified")
 
 
 # ---------------------------------------------------------------------------
