@@ -1,7 +1,7 @@
 """Planner with online interval-valued action-cost estimation."""
 
 from .intervals import INF, TOLERANCE, CostInterval, accumulate
-from .task import CostTable, Fact, GroundAction, PlanningTask, State, apply, is_goal
+from .task import CostTable, GroundAction, PlanningTask, State, apply, is_goal
 from .manifest import EstimatorManifest, load_manifest, parse_manifest
 from .pddl import ground, parse_domain, parse_problem
 from .estimators import EstimatorRegistry, SyntheticConfig, generate_synthetic
@@ -18,7 +18,7 @@ from .metrics import Comparison, MetricsReport, compare, emit_report, t_offline_
 
 __all__ = [
     "INF", "TOLERANCE", "CostInterval", "accumulate",
-    "CostTable", "Fact", "GroundAction", "PlanningTask", "State", "apply", "is_goal",
+    "CostTable", "GroundAction", "PlanningTask", "State", "apply", "is_goal",
     "EstimatorManifest", "load_manifest", "parse_manifest",
     "ground", "parse_domain", "parse_problem",
     "EstimatorRegistry", "SyntheticConfig", "generate_synthetic",

@@ -281,12 +281,11 @@ def _instance(entry: SuiteEntry) -> tuple:
 def run_suite(suite, outdir) -> tuple:
     """Run every (entry, seed, epsilon, mode) combination into result rows.
 
-    A PlanningError or OSError while reading, generating or grounding an
-    instance becomes that instance's error row. Any Exception raised by a
-    run becomes that run's ``run-error`` row: ``run-error: <msg>`` for a
-    PlanningError, ``run-error: <Type>: <msg>`` otherwise. KeyboardInterrupt
-    still ends the batch. Writes results.csv/.json in outdir and one report
-    pair per run under outdir/runs/; deterministic given the seeds.
+    Any Exception while reading or generating an instance, grounding it or
+    running it becomes one error row for what failed (see _error_status);
+    the batch goes on. KeyboardInterrupt still ends the batch. Writes
+    results.csv/.json in outdir and one report pair per run under
+    outdir/runs/; deterministic given the seeds.
     """
     runs_dir = os.path.join(outdir, "runs")
     os.makedirs(runs_dir, exist_ok=True)  # creates outdir too
@@ -295,9 +294,9 @@ def run_suite(suite, outdir) -> tuple:
     for entry in suite:
         try:
             domain, problem = _instance(entry)
-        except (OSError, PlanningError) as exc:
+        except Exception as exc:
             kind = "parse" if entry.generate is None else "generate"
-            records.append(_failure_record(entry.name, f"{kind}-error: {exc}"))
+            records.append(_failure_record(entry.name, _error_status(kind, exc, entry.name)))
             continue
         for seed in entry.seeds:
             instance = f"{entry.name}#s{seed}"
@@ -307,8 +306,8 @@ def run_suite(suite, outdir) -> tuple:
                 else:
                     manifest = load_manifest(entry.manifest)
                 task = ground(domain, problem, manifest, name=instance)
-            except (OSError, PlanningError) as exc:
-                records.append(_failure_record(instance, f"ground-error: {exc}"))
+            except Exception as exc:
+                records.append(_failure_record(instance, _error_status("ground", exc, instance)))
                 continue
             for epsilon in entry.epsilons:
                 reports = {}
@@ -316,14 +315,9 @@ def run_suite(suite, outdir) -> tuple:
                     config = SearchConfig(epsilon=epsilon, heuristic=entry.heuristic)
                     try:
                         cert, report = MODES[mode](task, config)
-                    except PlanningError as exc:
-                        records.append(
-                            _failure_record(instance, f"run-error: {exc}", mode, epsilon)
-                        )
-                        continue
-                    except Exception as exc:  # a bug in one run must not end the batch
-                        log.exception("%s, epsilon %s, mode %s: run failed", instance, epsilon, mode)
-                        status = f"run-error: {type(exc).__name__}: {exc}"
+                    except Exception as exc:
+                        where = f"{instance}, epsilon {epsilon}, mode {mode}"
+                        status = _error_status("run", exc, where)
                         records.append(_failure_record(instance, status, mode, epsilon))
                         continue
                     reports[mode] = report
@@ -335,6 +329,15 @@ def run_suite(suite, outdir) -> tuple:
                         reports["asec"], reports["offline"]
                     )
     return emit_report(records, os.path.join(outdir, "results"), comparisons)
+
+
+def _error_status(kind: str, exc: Exception, where: str) -> str:
+    """``<kind>-error: <msg>`` for a PlanningError or OSError (a fault in the
+    inputs); otherwise ``<kind>-error: <Type>: <msg>``, its traceback logged."""
+    if isinstance(exc, (PlanningError, OSError)):
+        return f"{kind}-error: {exc}"
+    log.error("%s: %s failed", where, kind, exc_info=exc)
+    return f"{kind}-error: {type(exc).__name__}: {exc}"
 
 
 def _failure_record(instance, status, mode="", epsilon=math.nan) -> RunRecord:

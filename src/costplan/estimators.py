@@ -30,7 +30,10 @@ class LedgerEntry:
 class EstimatorRegistry:
     """Per-episode estimator state: chains, cost table, time ledger.
 
-    Single-writer: one search episode owns a registry and its CostTable.
+    Chains are the task's ManifestLevel tuples, the records a remote
+    estimator serves too; with a remote client each level's interval and
+    time come from the server instead. Single-writer: one search episode
+    owns a registry and its CostTable.
     Levels are invoked sequentially per action (prefix invocation); each
     (action, level) pair is charged at most once: its declared or
     server-reported ``time_ms``, or with ``real_latency`` the measured wall
@@ -56,12 +59,10 @@ class EstimatorRegistry:
 
     def _produce(self, action_id: int, level: int) -> tuple[CostInterval, float]:
         """Interval and declared time for a 1-based level of an action's chain."""
-        time_ms, interval = self.task.chains[action_id].levels[level - 1]
         if self._remote is not None:
-            interval, time_ms = self._remote.estimate(
-                self.task.actions[action_id].name, level
-            )
-        return interval, time_ms
+            return self._remote.estimate(self.task.actions[action_id].name, level)
+        lvl = self.task.chains[action_id][level - 1]
+        return lvl.interval, lvl.time_ms
 
     def _invoke(self, action_id: int, level: int) -> CostInterval:
         if level <= self.table.next_level[action_id]:

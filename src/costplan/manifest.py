@@ -86,6 +86,17 @@ def _validate_entry(entry: ManifestEntry, index: int) -> None:
             )
 
 
+def _as_number(raw, where: str) -> float:
+    """A finite JSON number (not a bool) as a float."""
+    try:
+        value = float(raw) if type(raw) in (int, float) else math.nan
+    except OverflowError:  # an int beyond float range
+        value = INF
+    if not math.isfinite(value):
+        raise ManifestError(f"{where} must be a finite number, got {raw!r}")
+    return value
+
+
 def parse_manifest(text: str) -> EstimatorManifest:
     """Parse and validate a JSON estimator manifest."""
     try:
@@ -96,35 +107,41 @@ def parse_manifest(text: str) -> EstimatorManifest:
         raise ManifestError("manifest root must be an object")
 
     default = doc.get("default", {})
+    if not isinstance(default, dict):
+        raise ManifestError("default must be an object")
     prior = _as_interval(default.get("prior", [0.0, None]), "default prior")
+    actions = doc.get("actions", [])
+    if not isinstance(actions, list):
+        raise ManifestError("actions must be a list")
 
     entries = []
     seen = set()
-    for i, raw in enumerate(doc.get("actions", [])):
-        if not isinstance(raw, dict) or "action" not in raw:
-            raise ManifestError(f"entry {i}: missing 'action' field")
+    for i, raw in enumerate(actions):
+        if not isinstance(raw, dict) or not isinstance(raw.get("action"), str):
+            raise ManifestError(f"entry {i}: needs an 'action' string")
         name = raw["action"]
         if name in seen:
             raise ManifestError(f"duplicate manifest entry for action {name!r}")
         seen.add(name)
-        levels = tuple(
-            ManifestLevel(
-                time_ms=float(lvl.get("time_ms", 0.0)),
-                interval=_as_interval(
-                    lvl.get("interval"), f"entry {i} ({name!r}), level {j + 1}"
-                ),
-            )
-            for j, lvl in enumerate(raw.get("estimators", []))
-        )
+        where = f"entry {i} ({name!r})"
+        estimators = raw.get("estimators", [])
+        if not isinstance(estimators, list):
+            raise ManifestError(f"{where}: estimators must be a list")
+        levels = []
+        for j, lvl in enumerate(estimators, start=1):
+            if not isinstance(lvl, dict):
+                raise ManifestError(f"{where}, level {j}: must be an object")
+            levels.append(ManifestLevel(
+                time_ms=_as_number(lvl.get("time_ms", 0.0), f"{where}, level {j}: time_ms"),
+                interval=_as_interval(lvl.get("interval"), f"{where}, level {j}"),
+            ))
         true_cost = raw.get("true_cost")
         entry_prior = raw.get("prior")
         entry = ManifestEntry(
             action=name,
-            levels=levels,
-            true_cost=None if true_cost is None else float(true_cost),
-            prior=None if entry_prior is None else _as_interval(
-                entry_prior, f"entry {i} ({name!r}) prior"
-            ),
+            levels=tuple(levels),
+            true_cost=None if true_cost is None else _as_number(true_cost, f"{where}: true_cost"),
+            prior=None if entry_prior is None else _as_interval(entry_prior, f"{where} prior"),
         )
         _validate_entry(entry, i)
         entries.append(entry)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import GroundingError, PddlSyntaxError, UnsupportedFeatureError
 from .manifest import EstimatorManifest
-from .task import ChainSpec, Fact, GroundAction, PlanningTask
+from .task import GroundAction, PlanningTask
 
 SUPPORTED_REQUIREMENTS = {":strips", ":typing"}
 ROOT_TYPE = "object"
@@ -367,46 +367,8 @@ def print_problem(problem: ProblemAst) -> str:
 # ---------------------------------------------------------------------------
 # Grounding
 
-def _type_closure(types):
-    """type -> set of itself plus all descendants."""
-    parents = dict(types)
-    closure = {ROOT_TYPE: {ROOT_TYPE}}
-    names = set(parents) | set(parents.values()) | {ROOT_TYPE}
-    for t in names:
-        closure.setdefault(t, {t})
-
-    def ancestors(t):
-        seen = [t]
-        while t in parents and parents[t] not in seen:
-            t = parents[t]
-            seen.append(t)
-        if ROOT_TYPE not in seen:
-            seen.append(ROOT_TYPE)
-        return seen
-
-    for t in names:
-        for anc in ancestors(t):
-            closure.setdefault(anc, {anc}).add(t)
-    return closure
-
-
-def enumerate_bindings(schema: ActionSchema, objects_by_type: dict):
-    """All type-consistent bindings whose ground add/delete sets are disjoint.
-
-    Bindings that would make an action add and delete the same fact are
-    self-contradictory under STRIPS and are skipped (e.g. moving from a
-    location to itself).
-    """
-    pools = []
-    for var, typ in schema.params:
-        pools.append([(var, obj) for obj in objects_by_type.get(typ, ())])
-    for combo in itertools.product(*pools):
-        binding = dict(combo)
-        add = {a.ground(binding) for a in schema.add}
-        delete = {a.ground(binding) for a in schema.delete}
-        if add & delete:
-            continue
-        yield binding
+def _fact_name(atom: Atom, binding: dict) -> str:
+    return " ".join((atom.predicate, *(binding.get(x, x) for x in atom.args)))
 
 
 def ground(
@@ -415,87 +377,81 @@ def ground(
     manifest: EstimatorManifest,
     name: str | None = None,
 ) -> PlanningTask:
-    """Instantiate schemas over typed objects; attach estimator chains."""
+    """Instantiate schemas over typed objects in one pass; attach the manifest.
+
+    Each binding's atoms are keyed once. A binding whose add and delete
+    atoms meet would add and delete the same fact, which is
+    self-contradictory under STRIPS, so it is skipped (e.g. moving from a
+    location to itself). Fact ids are numbered in order of first use: init,
+    goal, then each action's pre, add and delete atoms. An action's prior
+    is its manifest entry's prior or else the manifest default; its chain is
+    the entry's own levels, empty when it has no entry.
+    """
     if problem.domain != domain.name:
         raise GroundingError(
             f"problem references domain {problem.domain!r}, parsed {domain.name!r}"
         )
-    closure = _type_closure(domain.types)
-    known_types = set(closure)
-    objects_by_type = {t: [] for t in known_types}
+    parents = dict(domain.types)
+    ancestors = {}  # type -> itself, then its ancestors up to the root or a cycle
+    for typ in {ROOT_TYPE, *parents, *parents.values()}:
+        line = [typ]
+        while line[-1] in parents and parents[line[-1]] not in line:
+            line.append(parents[line[-1]])
+        ancestors[typ] = line if ROOT_TYPE in line else line + [ROOT_TYPE]
+    objects_by_type = {typ: [] for typ in ancestors}
     for obj, typ in problem.objects:
-        if typ not in known_types:
+        if typ not in ancestors:
             raise GroundingError(f"object {obj}: undefined type {typ}")
-        for t, members in closure.items():
-            if typ in members:
-                objects_by_type[t].append(obj)
-    for _, typ in itertools.chain(
-        (p for schema in domain.predicates for p in schema.params),
-        (p for schema in domain.actions for p in schema.params),
-    ):
-        if typ not in known_types:
-            raise GroundingError(f"undefined type {typ}")
+        for t in ancestors[typ]:
+            objects_by_type[t].append(obj)
+    for schema in (*domain.predicates, *domain.actions):
+        for _, typ in schema.params:
+            if typ not in ancestors:
+                raise GroundingError(f"undefined type {typ}")
 
-    fact_ids: dict = {}
+    fact_ids: dict = {}  # fact name -> id, in id order
 
-    def fact_id(atom: Atom) -> int:
-        key = " ".join((atom.predicate,) + atom.args)
-        if key not in fact_ids:
-            fact_ids[key] = len(fact_ids)
-        return fact_ids[key]
+    def fact_id(key: str) -> int:
+        return fact_ids.setdefault(key, len(fact_ids))
 
-    init = frozenset(fact_id(a) for a in problem.init)
-    goal = frozenset(fact_id(a) for a in problem.goal)
+    init = frozenset(fact_id(_fact_name(a, {})) for a in problem.init)
+    goal = frozenset(fact_id(_fact_name(a, {})) for a in problem.goal)
 
     actions = []
     for schema in domain.actions:
-        for binding in enumerate_bindings(schema, objects_by_type):
-            args = tuple(binding[v] for v, _ in schema.params)
-            gname = " ".join((schema.name,) + args)
-            actions.append(
-                GroundAction(
-                    id=len(actions),
-                    name=gname,
-                    pre=frozenset(fact_id(a.ground(binding)) for a in schema.pre),
-                    add=frozenset(fact_id(a.ground(binding)) for a in schema.add),
-                    delete=frozenset(fact_id(a.ground(binding)) for a in schema.delete),
-                )
+        variables = [v for v, _ in schema.params]
+        for combo in itertools.product(*(objects_by_type[t] for _, t in schema.params)):
+            binding = dict(zip(variables, combo))
+            pre, add, delete = (
+                [_fact_name(a, binding) for a in atoms]
+                for atoms in (schema.pre, schema.add, schema.delete)
             )
+            if not set(add).isdisjoint(delete):
+                continue
+            actions.append(GroundAction(
+                id=len(actions),
+                name=" ".join((schema.name, *(binding[v] for v in variables))),
+                pre=frozenset(map(fact_id, pre)),
+                add=frozenset(map(fact_id, add)),
+                delete=frozenset(map(fact_id, delete)),
+            ))
 
-    by_name = {a.name: a for a in actions}
     entries = manifest.by_action()
+    names = {a.name for a in actions}
     for entry_name in entries:
-        if entry_name not in by_name:
-            raise GroundingError(
-                f"manifest entry {entry_name!r} names no ground action"
-            )
-
-    chains = []
-    true_costs = {}
-    for action in actions:
-        entry = entries.get(action.name)
-        if entry is None:
-            chains.append(
-                ChainSpec(action_id=action.id, prior=manifest.default_prior, levels=())
-            )
-        else:
-            chains.append(
-                ChainSpec(
-                    action_id=action.id,
-                    prior=entry.prior or manifest.default_prior,
-                    levels=tuple((lvl.time_ms, lvl.interval) for lvl in entry.levels),
-                )
-            )
-            if entry.true_cost is not None:
-                true_costs[action.id] = entry.true_cost
-
-    facts = tuple(Fact(id=i, name=n) for n, i in fact_ids.items())
+        if entry_name not in names:
+            raise GroundingError(f"manifest entry {entry_name!r} names no ground action")
+    found = [entries.get(a.name) for a in actions]
+    true_costs = {
+        i: e.true_cost for i, e in enumerate(found) if e and e.true_cost is not None
+    }
     return PlanningTask(
         name=name or f"{domain.name}/{problem.name}",
-        facts=facts,
+        facts=tuple(fact_ids),
         init=init,
         goal=goal,
         actions=tuple(actions),
-        chains=tuple(chains),
-        true_costs=true_costs if true_costs else None,
+        priors=tuple(e.prior if e and e.prior else manifest.default_prior for e in found),
+        chains=tuple(e.levels if e else () for e in found),
+        true_costs=true_costs or None,
     )

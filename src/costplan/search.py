@@ -365,7 +365,7 @@ def post_search_refine(
         target = _pick_refinement(certificate.plan, registry)
         if target is None:
             break
-        cost_ms = registry.task.chains[target].levels[table.next_level[target]][0]
+        cost_ms = registry.task.chains[target][table.next_level[target]].time_ms
         spent = sum(e.time_ms for e in registry.ledger[first:])
         if budget_ms is not None and spent + cost_ms > budget_ms + TOLERANCE:
             break

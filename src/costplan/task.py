@@ -16,12 +16,6 @@ State = frozenset  # of fact ids
 
 
 @dataclass(frozen=True)
-class Fact:
-    id: int
-    name: str
-
-
-@dataclass(frozen=True)
 class GroundAction:
     id: int
     name: str
@@ -35,30 +29,24 @@ class GroundAction:
 
 
 @dataclass(frozen=True)
-class ChainSpec:
-    """Immutable description of one action's estimator chain.
+class PlanningTask:
+    """A grounded task and its cost model, indexed by fact and action id.
 
-    levels: tuple of (time_ms, CostInterval) in invocation order.
-    Remote chains substitute the interval at invocation time; the tuple
-    here carries the static structure (count and charged times).
+    ``priors`` holds each action's starting interval and ``chains`` its
+    estimator levels, the manifest's own ManifestLevel records in
+    invocation order (empty when the manifest has no entry for it). A
+    remote estimator answers in a level's place at invocation time; the
+    chain still gives the level count and the declared times that a
+    refinement budget is checked against.
     """
 
-    action_id: int
-    prior: CostInterval
-    levels: tuple
-
-    def __len__(self):
-        return len(self.levels)
-
-
-@dataclass(frozen=True)
-class PlanningTask:
     name: str
-    facts: tuple  # of Fact
+    facts: tuple  # of fact names
     init: State
     goal: frozenset
     actions: tuple  # of GroundAction
-    chains: tuple  # of ChainSpec, indexed by action id
+    priors: tuple  # of CostInterval
+    chains: tuple  # of tuples of ManifestLevel
     true_costs: Optional[dict] = None  # action id -> hidden true cost
 
     @property
@@ -137,7 +125,7 @@ class CostTable:
     """
 
     def __init__(self, task: PlanningTask):
-        self._intervals = [spec.prior for spec in task.chains]
+        self._intervals = list(task.priors)
         self.next_level = [0] * len(task.chains)
         self.raised: list[int] = []
 

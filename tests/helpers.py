@@ -6,7 +6,8 @@ from costplan.bench import gen_gridworld, gen_logistics, synthetic_manifest_for
 from costplan.estimators import SyntheticConfig
 from costplan.intervals import INF, CostInterval
 from costplan.pddl import ground
-from costplan.task import ChainSpec, Fact, GroundAction, PlanningTask
+from costplan.manifest import ManifestLevel
+from costplan.task import GroundAction, PlanningTask
 
 
 def make_task(actions, goal, init=frozenset({0}), true_costs=None, priors=None, name="hand"):
@@ -29,21 +30,15 @@ def make_task(actions, goal, init=frozenset({0}), true_costs=None, priors=None, 
                 delete=frozenset(delete),
             )
         )
-        chains.append(
-            ChainSpec(
-                action_id=i,
-                prior=CostInterval(*priors.get(i, (0.0, INF))),
-                levels=tuple((t, CostInterval(*iv)) for t, iv in levels),
-            )
-        )
+        chains.append(tuple(ManifestLevel(t, CostInterval(*iv)) for t, iv in levels))
         max_fact = max([max_fact, *pre, *add, *delete])
-    facts = tuple(Fact(i, f"f{i}") for i in range(max_fact + 1))
     return PlanningTask(
         name=name,
-        facts=facts,
+        facts=tuple(f"f{i}" for i in range(max_fact + 1)),
         init=frozenset(init),
         goal=frozenset(goal),
         actions=tuple(ground_actions),
+        priors=tuple(CostInterval(*priors.get(i, (0.0, INF))) for i in range(len(actions))),
         chains=tuple(chains),
         true_costs=true_costs,
     )

@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,10 @@ def test_generator_rejects_bad_sizes():
 # ---------------------------------------------------------------------------
 # Suite running
 
+def read_rows(path):
+    return list(csv.DictReader(Path(path).read_text().splitlines()))
+
+
 def write_suite(tmp_path, entries):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps({"entries": entries}))
@@ -101,10 +106,10 @@ def test_suite_runs_both_modes_with_comparison(tmp_path):
         "modes": ["asec", "offline"],
     }]))
     csv_path, json_path = run_suite(suite, tmp_path / "out")
-    rows = list(csv.DictReader(open(csv_path)))
+    rows = read_rows(csv_path)
     assert len(rows) == 2
     assert {r["mode"] for r in rows} == {"asec", "offline"}
-    doc = json.load(open(json_path))
+    doc = json.loads(Path(json_path).read_text())
     assert len(doc["comparisons"]) == 1
     (comp,) = doc["comparisons"].values()
     assert "delta_modeling_ms" in comp and "delta_planning_ms" in comp
@@ -118,7 +123,7 @@ def test_suite_deterministic(tmp_path):
     }]))
     csv1, _ = run_suite(suite, tmp_path / "out1")
     csv2, _ = run_suite(suite, tmp_path / "out2")
-    assert open(csv1, "rb").read() == open(csv2, "rb").read()
+    assert Path(csv1).read_bytes() == Path(csv2).read_bytes()
 
 
 def test_suite_isolates_parse_errors(tmp_path):
@@ -130,11 +135,32 @@ def test_suite_isolates_parse_errors(tmp_path):
         {"name": "good", "domain": dpath, "problem": ppath, "synthetic": {}},
     ]))
     csv_path, _ = run_suite(suite, tmp_path / "out")
-    rows = list(csv.DictReader(open(csv_path)))
+    rows = read_rows(csv_path)
     by_instance = {r["instance"]: r for r in rows}
     assert by_instance["bad"]["status"].startswith("parse-error")
     good_rows = [r for r in rows if r["instance"].startswith("good")]
     assert good_rows and all(r["status"] == "ok" for r in good_rows)
+
+
+def test_suite_isolates_undecodable_files(caplog, capsys, tmp_path):
+    from costplan.cli import main
+
+    dpath, ppath = write_instance(tmp_path)
+    binary = tmp_path / "binary.pddl"
+    binary.write_bytes(b"(define (domain \xff))")
+    path = write_suite(tmp_path, [
+        {"name": "bad", "domain": str(binary), "problem": ppath, "synthetic": {}},
+        {"name": "good", "domain": dpath, "problem": ppath, "synthetic": {},
+         "modes": ["asec"]},
+    ])
+    out = tmp_path / "out"
+    assert main(["bench", "--suite", str(path), "--out", str(out)]) == 0
+    rows = read_rows(out / "results.csv")
+    assert [(r["instance"], r["status"].split(" can't")[0]) for r in rows] == [
+        ("bad", "parse-error: UnicodeDecodeError: 'utf-8' codec"), ("good#s0", "ok"),
+    ]
+    assert "bad: parse failed" in caplog.text
+    assert "wrote" in capsys.readouterr().out
 
 
 def test_suite_validation():
@@ -215,8 +241,8 @@ def test_generated_entry_matches_gen_instances_files(capsys, tmp_path):
     out_gen = run_suite(load_suite(write_suite(tmp_path, generated)), tmp_path / "gen")
     out_files = run_suite(load_suite(write_suite(tmp_path, files)), tmp_path / "files")
     for generated_path, files_path in zip(out_gen, out_files):
-        assert open(generated_path, "rb").read() == open(files_path, "rb").read()
-    rows = list(csv.DictReader(open(out_gen[0])))
+        assert Path(generated_path).read_bytes() == Path(files_path).read_bytes()
+    rows = read_rows(out_gen[0])
     assert len(rows) == 16 and all(r["status"] == "ok" for r in rows)
 
 
@@ -231,7 +257,7 @@ def test_generate_errors_become_error_rows(tmp_path):
          "synthetic": {}},
     ]))
     csv_path, _ = run_suite(suite, tmp_path / "out")
-    by_instance = {r["instance"]: r["status"] for r in csv.DictReader(open(csv_path))}
+    by_instance = {r["instance"]: r["status"] for r in read_rows(csv_path)}
     assert by_instance["nope"] == "generate-error: unknown template 'maze'"
     assert by_instance["typo"].startswith("generate-error: gridworld:")
     assert by_instance["small"].startswith("generate-error: grid sizes")
@@ -257,7 +283,7 @@ def test_unexpected_run_exception_becomes_one_error_row(caplog, capsys, monkeypa
     }])
     out = tmp_path / "out"
     assert main(["bench", "--suite", str(path), "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
+    rows = read_rows(out / "results.csv")
     assert [(r["instance"], r["mode"]) for r in rows] == [
         ("g3#s0", "asec"), ("g3#s0", "offline"), ("g3#s1", "asec"), ("g3#s1", "offline"),
     ]
@@ -282,11 +308,11 @@ def test_compare_modes_suite_grid5_seed0(tmp_path):
                  if e.name == "grid5")
     suite = (dataclasses.replace(entry, seeds=(0,)),)
     csv_path, json_path = run_suite(suite, tmp_path / "out")
-    rows = list(csv.DictReader(open(csv_path)))
+    rows = read_rows(csv_path)
     for epsilon in entry.epsilons:
         pair = [r for r in rows if float(r["epsilon"]) == epsilon]
         assert [r["mode"] for r in pair] == ["asec", "offline"]
         assert all(r["verdict"] == "certified" and r["instance"] == "grid5#s0" for r in pair)
-    assert sorted(json.load(open(json_path))["comparisons"]) == [
+    assert sorted(json.loads(Path(json_path).read_text())["comparisons"]) == [
         f"grid5#s0@eps={epsilon}" for epsilon in entry.epsilons
     ]

@@ -83,6 +83,17 @@ def test_plan_missing_file_exit_2(capsys, drive_paths):
     assert "error:" in err
 
 
+def test_plan_malformed_manifest_exit_2(capsys, drive_paths, tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"default": [0, 1]}')
+    code, _, err = run(
+        capsys, "plan", "--domain", drive_paths["domain"],
+        "--problem", drive_paths["problem"], "--manifest", str(manifest),
+    )
+    assert code == 2
+    assert "error: default must be an object" in err
+
+
 def test_compare_prints_deltas(capsys, drive_paths):
     code, out, _ = run(
         capsys, "compare",

@@ -58,6 +58,39 @@ def test_bad_json_rejected():
         parse_manifest("{not json")
 
 
+DRIVE = {"action": "drive a b"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"default": [0, 1]}, "default must be an object"),
+        ({"actions": {}}, "actions must be a list"),
+        ({"actions": [{"action": ["drive"]}]}, "entry 0: needs an 'action' string"),
+        ({"actions": [{**DRIVE, "estimators": 5}]},
+         r"entry 0 \('drive a b'\): estimators must be a list"),
+        ({"actions": [{**DRIVE, "estimators": [5]}]},
+         r"entry 0 \('drive a b'\), level 1: must be an object"),
+        ({"actions": [{**DRIVE, "estimators": [{"time_ms": "x", "interval": [0, 1]}]}]},
+         r"entry 0 \('drive a b'\), level 1: time_ms must be a finite number"),
+        ({"actions": [{**DRIVE, "estimators": [{"time_ms": math.inf, "interval": [0, 1]}]}]},
+         r"level 1: time_ms must be a finite number, got inf"),
+        ({"actions": [{**DRIVE, "true_cost": "x"}]},
+         r"entry 0 \('drive a b'\): true_cost must be a finite number, got 'x'"),
+        ({"actions": [{**DRIVE, "true_cost": math.nan}]}, "true_cost must be a finite number"),
+        ({"actions": [{**DRIVE, "true_cost": True}]}, "true_cost must be a finite number"),
+        ({"actions": [{**DRIVE, "true_cost": 10**400}]}, "true_cost must be a finite number"),
+    ],
+    ids=[
+        "default-list", "actions-object", "action-list", "estimators-int", "level-int", "time-str",
+        "time-inf", "true-cost-str", "true-cost-nan", "true-cost-bool", "true-cost-huge",
+    ],
+)
+def test_malformed_shapes_rejected(doc, message):
+    with pytest.raises(ManifestError, match=message):
+        parse_manifest(json.dumps(doc))
+
+
 def test_default_prior_parsed(drive_paths):
     manifest = load_manifest(drive_paths["manifest"])
     assert manifest.default_prior.lb == 0.0

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,7 +113,7 @@ def test_emit_empty_report_has_header(tmp_path):
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
     assert rows == [CSV_COLUMNS]
-    assert json.load(open(json_path)) == {"runs": []}
+    assert json.loads(Path(json_path).read_text()) == {"runs": []}
 
 
 def test_emit_single_run(tmp_path):
@@ -130,6 +131,6 @@ def test_emit_comparison_block(tmp_path):
     _, json_path = emit_report(
         [record(), record(mode="offline")], tmp_path / "out", {"pair": comp}
     )
-    doc = json.load(open(json_path))
+    doc = json.loads(Path(json_path).read_text())
     assert doc["comparisons"]["pair"]["delta_modeling_ms"] == -9.0
     assert doc["comparisons"]["pair"]["delta_planning_ms"] == 2.0

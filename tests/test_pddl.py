@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from costplan.pddl import (
     PredicateSchema,
     RESERVED_HEADS,
     ProblemAst,
-    enumerate_bindings,
     ground,
     parse_domain,
     parse_problem,
@@ -165,7 +165,73 @@ def test_manifest_entry_for_unknown_action_rejected(drive_paths):
 
 def test_default_chain_fills_gaps(drive_task):
     # both drive actions have manifest chains; a manifest-free task gets priors
-    assert all(len(c.levels) == 2 for c in drive_task.chains)
+    assert all(len(c) == 2 for c in drive_task.chains)
+
+
+PIN_DOMAIN = """
+(define (domain pin)
+  (:requirements :strips :typing)
+  (:types car - vehicle vehicle - thing a - b b - a place)
+  (:predicates (at ?v - vehicle ?l - place) (free ?t - b)
+               (tagged ?v - thing) (untagged ?v - thing))
+  (:action move :parameters (?v - vehicle ?from ?to - place)
+    :precondition (at ?v ?from) :effect (and (at ?v ?to) (not (at ?v ?from))))
+  (:action tag :parameters (?t - b ?v - thing)
+    :precondition (free ?t) :effect (and (tagged ?v) (not (untagged ?v)))))
+"""
+
+PIN_PROBLEM = """
+(define (problem pin1) (:domain pin)
+  (:objects c1 - car v1 - vehicle p1 p2 - place x - a)
+  (:init (at c1 p1) (at v1 p2) (free x))
+  (:goal (and (at c1 p2) (tagged v1))))
+"""
+
+PIN_MANIFEST = {
+    "default": {"prior": [0.5, None]},
+    "actions": [
+        {"action": "tag x v1", "true_cost": 3.0},
+        {"action": "move c1 p1 p2", "true_cost": 5.0, "prior": [1.0, 20.0],
+         "estimators": [{"time_ms": 1.0, "interval": [2.0, 8.0]},
+                        {"time_ms": 10.0, "interval": [5.0, 5.0]}]},
+        {"action": "move c1 p2 p1", "true_cost": 6.0,
+         "estimators": [{"time_ms": 2.0, "interval": [1.0, 9.0]}]},
+        {"action": "move v1 p2 p1", "estimators": []},
+        {"action": "tag x c1", "true_cost": 4.0},
+    ],
+}
+
+
+def test_grounding_pins_fact_and_action_order():
+    # Fact ids follow first use (init, goal, then each action's pre, add and
+    # delete atoms); they set successor order and A*'s FIFO ties, so every
+    # same-seed report depends on them. car < vehicle < thing is a two-level
+    # hierarchy, a - b - a a cycle, and move with ?from = ?to contradicts itself.
+    manifest = parse_manifest(json.dumps(PIN_MANIFEST))
+    task = ground(parse_domain(PIN_DOMAIN), parse_problem(PIN_PROBLEM), manifest)
+    assert task.facts == (
+        "at c1 p1", "at v1 p2", "free x", "at c1 p2", "tagged v1",
+        "at v1 p1", "tagged c1", "untagged c1", "untagged v1",
+    )
+    assert (task.init, task.goal) == ({0, 1, 2}, {3, 4})
+    assert [(a.id, a.name, a.pre, a.add, a.delete) for a in task.actions] == [
+        (0, "move c1 p1 p2", {0}, {3}, {0}),
+        (1, "move c1 p2 p1", {3}, {0}, {3}),
+        (2, "move v1 p1 p2", {5}, {1}, {5}),
+        (3, "move v1 p2 p1", {1}, {5}, {1}),
+        (4, "tag x c1", {2}, {6}, {7}),
+        (5, "tag x v1", {2}, {4}, {8}),
+    ]
+    default = CostInterval(0.5, INF)
+    assert task.priors == (CostInterval(1.0, 20.0), default, default, default, default, default)
+    assert task.chains == (
+        (ManifestLevel(1.0, CostInterval(2.0, 8.0)), ManifestLevel(10.0, CostInterval(5.0, 5.0))),
+        (ManifestLevel(2.0, CostInterval(1.0, 9.0)),),
+        (), (), (), (),
+    )
+    by_action = manifest.by_action()
+    assert task.chains[0] is by_action["move c1 p1 p2"].levels  # the manifest's own records
+    assert task.true_costs == {0: 5.0, 1: 6.0, 4: 4.0, 5: 3.0}
 
 
 def brute_force_bindings(schema, objects_by_type):

@@ -261,7 +261,7 @@ def test_real_latency_refine_budget_counts_measured_time():
     class SlowServer:
         def estimate(self, name, level):
             time.sleep(0.03)
-            return task.chains[0].levels[level - 1][1], 1.0
+            return task.chains[0][level - 1].interval, 1.0
 
     registry = EstimatorRegistry(task, remote=SlowServer(), real_latency=True)
     cert, _ = asec(task, SearchConfig(epsilon=float("inf")), registry)

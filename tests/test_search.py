@@ -590,7 +590,7 @@ def test_asec_soundness_random(index, seed, eps):
 def test_asec_termination_bound(index, seed):
     task = suite_instance(index, seed)
     cert, report = asec(task, SearchConfig(epsilon=1.0))
-    total_levels = sum(len(c.levels) for c in task.chains)
+    total_levels = sum(map(len, task.chains))
     assert len(report.calls) <= total_levels
 
 
