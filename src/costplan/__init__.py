@@ -12,7 +12,6 @@ from .search import (
     astar_offline,
     hmax,
     oracle_optimal,
-    post_search_refine,
 )
 from .metrics import Comparison, MetricsReport, compare, emit_report, t_offline_modeling
 
@@ -23,7 +22,7 @@ __all__ = [
     "ground", "parse_domain", "parse_problem",
     "EstimatorRegistry", "SyntheticConfig", "generate_synthetic",
     "PlanCertificate", "SearchConfig", "asec", "astar_offline", "hmax",
-    "oracle_optimal", "post_search_refine",
+    "oracle_optimal",
     "Comparison", "MetricsReport", "compare", "emit_report", "t_offline_modeling",
 ]
 

@@ -220,8 +220,11 @@ def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
         epsilons = tuple(float(e) for e in raw.get("epsilons", [1.0]))
     except (TypeError, ValueError):
         raise ConfigError(f"suite entry {i}: epsilons must be numbers") from None
-    if any(e < 1.0 for e in epsilons):
-        raise ConfigError(f"suite entry {i}: epsilons must all be >= 1")
+    try:
+        for epsilon in epsilons:
+            SearchConfig(epsilon)  # the one epsilon rule
+    except ValueError as exc:
+        raise ConfigError(f"suite entry {i}: {exc}") from None
     modes = tuple(raw.get("modes", list(MODES)))
     for mode in modes:
         if not isinstance(mode, str) or mode not in MODES:

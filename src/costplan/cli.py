@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import logging
 import math
 import os
@@ -29,21 +28,14 @@ from .manifest import load_manifest, manifest_to_json
 from .metrics import RunRecord, compare, emit_report
 from .pddl import ground, parse_domain, parse_problem, print_domain, print_problem
 from .remote import MockEstimatorServer, RemoteEstimatorClient
-from .search import HEURISTICS, MODES, SearchConfig, asec, astar_offline, post_search_refine
-
-
-def _positive_epsilon(text: str) -> float:
-    value = float(text)
-    if value < 1.0:
-        raise argparse.ArgumentTypeError("epsilon must be >= 1")
-    return value
+from .search import HEURISTICS, MODES, SearchConfig, asec, astar_offline
 
 
 def _add_plan_flags(sub):
     sub.add_argument("--domain", required=True)
     sub.add_argument("--problem", required=True)
     sub.add_argument("--manifest", required=True)
-    sub.add_argument("--epsilon", type=_positive_epsilon, default=1.0)
+    sub.add_argument("--epsilon", type=float, default=1.0)
     sub.add_argument("--heuristic", choices=HEURISTICS, default="hmax")
     sub.add_argument("--real-latency", action="store_true")
     sub.add_argument("--endpoint", default=None, help="host:port of a remote estimator")
@@ -139,17 +131,10 @@ def _print_certificate(task, cert, report):
 
 
 def _cmd_plan(args) -> int:
+    config = SearchConfig(args.epsilon, args.heuristic, args.refine_budget_ms)
     task = _load_task(args)
-    config = SearchConfig(epsilon=args.epsilon, heuristic=args.heuristic)
     with _remote(args) as remote:
-        registry = _registry(task, args, remote)
-        cert, report = MODES[args.mode](task, config, registry)
-        if args.refine_budget_ms is not None and cert.plan is not None:
-            cert = post_search_refine(cert, registry, args.refine_budget_ms)
-            report = dataclasses.replace(  # count the refinement calls too
-                report, a_actual=report.a_actual | registry.estimated_actions(),
-                calls=tuple(registry.ledger), t_modeling_ms=registry.total_charged_ms(),
-            )
+        cert, report = MODES[args.mode](task, config, _registry(task, args, remote))
     _print_certificate(task, cert, report)
     if args.out:
         paths = emit_report([RunRecord.from_episode(cert, report, task)], args.out)
@@ -158,8 +143,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    task = _load_task(args)
     config = SearchConfig(epsilon=args.epsilon, heuristic=args.heuristic)
+    task = _load_task(args)
     with _remote(args) as remote:  # one client serves both registries
         cert_dyn, rep_dyn = asec(task, config, _registry(task, args, remote))
         cert_off, rep_off = astar_offline(task, config, _registry(task, args, remote))

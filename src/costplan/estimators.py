@@ -28,7 +28,7 @@ class LedgerEntry:
 
 
 class EstimatorRegistry:
-    """Per-episode estimator state: chains, cost table, time ledger.
+    """Per-episode estimator state: chains, chain cursor, cost table, time ledger.
 
     Chains are the task's ManifestLevel tuples, the records a remote
     estimator serves too; with a remote client each level's interval and
@@ -38,7 +38,8 @@ class EstimatorRegistry:
     (action, level) pair is charged at most once: its declared or
     server-reported ``time_ms``, or with ``real_latency`` the measured wall
     time of producing it, which a ``failed`` (unavailable) call is charged
-    too. The ledger is the only accumulator of charges.
+    too. The ledger is the only accumulator of charges. Only the registry
+    moves ``next_level``, the count of each chain's levels invoked or skipped.
     """
 
     def __init__(self, task: PlanningTask, remote=None, real_latency: bool = False):
@@ -46,6 +47,7 @@ class EstimatorRegistry:
         self.real_latency = real_latency
         self.ledger: list[LedgerEntry] = []
         self.table = CostTable(task)
+        self.next_level = [0] * len(task.chains)
         self._remote = remote
         self._unavailable: set[int] = set()
 
@@ -55,7 +57,7 @@ class EstimatorRegistry:
     def refinable(self, action_id: int) -> bool:
         if action_id in self._unavailable:
             return False
-        return self.table.next_level[action_id] < self.chain_length(action_id)
+        return self.next_level[action_id] < self.chain_length(action_id)
 
     def _produce(self, action_id: int, level: int) -> tuple[CostInterval, float]:
         """Interval and declared time for a 1-based level of an action's chain."""
@@ -65,7 +67,7 @@ class EstimatorRegistry:
         return lvl.interval, lvl.time_ms
 
     def _invoke(self, action_id: int, level: int) -> CostInterval:
-        if level <= self.table.next_level[action_id]:
+        if level <= self.next_level[action_id]:
             return self.table.interval(action_id)  # already charged and applied
         started = time.perf_counter()
         try:
@@ -83,14 +85,14 @@ class EstimatorRegistry:
 
     def invoke_next(self, action_id: int) -> CostInterval:
         """Invoke the action's next uninvoked estimator level."""
-        level = self.table.next_level[action_id]
+        level = self.next_level[action_id]
         if level >= self.chain_length(action_id):
             raise ChainExhaustedError(
                 f"action {self.task.actions[action_id].name}: "
                 f"all {self.chain_length(action_id)} estimator levels invoked"
             )
         result = self._invoke(action_id, level + 1)
-        self.table.next_level[action_id] = level + 1
+        self.next_level[action_id] = level + 1
         return result
 
     def invoke_final(self, action_id: int) -> CostInterval | None:
@@ -102,7 +104,7 @@ class EstimatorRegistry:
         if k == 0:
             return None
         result = self._invoke(action_id, k)
-        self.table.next_level[action_id] = k
+        self.next_level[action_id] = k
         return result
 
     def total_charged_ms(self) -> float:

@@ -8,8 +8,8 @@ File format (JSON):
                   "estimators": [{"time_ms": 1.0, "interval": [5.0, 10.0]},
                                  {"time_ms": 100.0, "interval": [7.0, 7.0]}]}]}
 
-A null upper bound encodes +inf. Hidden true costs are for test and
-synthetic use only; the planner never reads them.
+Numbers must be finite; only a null upper bound encodes +inf. Hidden true
+costs are for test and synthetic use only; the planner never reads them.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ class EstimatorManifest:
 def _as_interval(raw, where: str) -> CostInterval:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ManifestError(f"{where}: interval must be a [lb, ub] pair")
-    lb, ub = raw
-    if ub is None:
-        ub = INF
+    lb = as_number(raw[0], f"{where}: lb")
+    ub = INF if raw[1] is None else as_number(raw[1], f"{where}: ub")
     try:
-        return CostInterval(float(lb), float(ub))
-    except (TypeError, ValueError) as exc:
+        return CostInterval(lb, ub)
+    except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
@@ -86,8 +85,8 @@ def _validate_entry(entry: ManifestEntry, index: int) -> None:
             )
 
 
-def _as_number(raw, where: str) -> float:
-    """A finite JSON number (not a bool) as a float."""
+def as_number(raw, where: str) -> float:
+    """A finite JSON number (not a bool) as a float; manifests and remote replies."""
     try:
         value = float(raw) if type(raw) in (int, float) else math.nan
     except OverflowError:  # an int beyond float range
@@ -132,7 +131,7 @@ def parse_manifest(text: str) -> EstimatorManifest:
             if not isinstance(lvl, dict):
                 raise ManifestError(f"{where}, level {j}: must be an object")
             levels.append(ManifestLevel(
-                time_ms=_as_number(lvl.get("time_ms", 0.0), f"{where}, level {j}: time_ms"),
+                time_ms=as_number(lvl.get("time_ms", 0.0), f"{where}, level {j}: time_ms"),
                 interval=_as_interval(lvl.get("interval"), f"{where}, level {j}"),
             ))
         true_cost = raw.get("true_cost")
@@ -140,7 +139,7 @@ def parse_manifest(text: str) -> EstimatorManifest:
         entry = ManifestEntry(
             action=name,
             levels=tuple(levels),
-            true_cost=None if true_cost is None else _as_number(true_cost, f"{where}: true_cost"),
+            true_cost=None if true_cost is None else as_number(true_cost, f"{where}: true_cost"),
             prior=None if entry_prior is None else _as_interval(entry_prior, f"{where} prior"),
         )
         _validate_entry(entry, i)

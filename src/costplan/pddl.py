@@ -211,14 +211,19 @@ def _check_schema_vars(schema: ActionSchema) -> None:
                 )
 
 
+def _define(expr, kind: str) -> str:
+    """NAME of a top-level (define (KIND NAME) ...) form, kind "domain" or "problem"."""
+    if not isinstance(expr, list) or len(expr) < 2 or _word(expr[0], kind) != "define":
+        raise PddlSyntaxError(f"{kind} file must start with (define ({kind} NAME) ...)")
+    header = expr[1]
+    if not isinstance(header, list) or len(header) < 2 or _word(header[0], kind) != kind:
+        raise PddlSyntaxError(f"expected ({kind} NAME)")
+    return _word(header[1], f"{kind} name")
+
+
 def parse_domain(text: str) -> DomainAst:
     expr = _parse_sexpr(text)
-    if not isinstance(expr, list) or _word(expr[0], "domain") != "define":
-        raise PddlSyntaxError("domain file must start with (define ...)")
-    header = expr[1]
-    if not isinstance(header, list) or _word(header[0], "domain header") != "domain":
-        raise PddlSyntaxError("expected (domain NAME)")
-    name = _word(header[1], "domain name")
+    name = _define(expr, "domain")
 
     requirements = []
     types = []
@@ -261,6 +266,8 @@ def parse_domain(text: str) -> DomainAst:
 
 
 def _parse_action(section) -> ActionSchema:
+    if len(section) < 2:
+        raise PddlSyntaxError(":action needs a name")
     name = _word(section[1], ":action")
     params = ()
     pre = ()
@@ -287,12 +294,7 @@ def _parse_action(section) -> ActionSchema:
 
 def parse_problem(text: str) -> ProblemAst:
     expr = _parse_sexpr(text)
-    if not isinstance(expr, list) or _word(expr[0], "problem") != "define":
-        raise PddlSyntaxError("problem file must start with (define ...)")
-    header = expr[1]
-    if not isinstance(header, list) or _word(header[0], "problem header") != "problem":
-        raise PddlSyntaxError("expected (problem NAME)")
-    name = _word(header[1], "problem name")
+    name = _define(expr, "problem")
 
     domain = None
     objects = ()
@@ -303,6 +305,8 @@ def parse_problem(text: str) -> ProblemAst:
             raise PddlSyntaxError("malformed problem section")
         key = _word(section[0], "problem section")
         if key == ":domain":
+            if len(section) != 2:
+                raise PddlSyntaxError(":domain takes exactly one name")
             domain = _word(section[1], ":domain")
         elif key == ":objects":
             objects = _parse_typed_list(section[1:], ":objects")

@@ -1,8 +1,10 @@
 """Remote estimator wire protocol: newline-delimited JSON over TCP.
 
 Request:  {"action": <string>, "level": <int >= 1>}
-Reply:    {"lb": <number>, "ub": <number|null>, "time_ms": <number>}
+Reply:    {"lb": <number>, "ub": <number|null>, "time_ms": <number >= 0>}
        or {"error": <string>}
+
+Numbers are finite JSON numbers, as in a manifest; only a null ub means +inf.
 
 A connection carries any number of request/reply pairs, one line each, in
 order; the client keeps one open across calls. The mock server answers from a
@@ -16,9 +18,9 @@ import socket
 import socketserver
 import threading
 
-from .errors import EstimatorUnavailableError
+from .errors import EstimatorUnavailableError, ManifestError
 from .intervals import INF, CostInterval
-from .manifest import EstimatorManifest
+from .manifest import EstimatorManifest, as_number
 
 #: serve_forever's shutdown poll; the default 0.5 s makes every shutdown()
 #: wait up to half a second.
@@ -73,10 +75,13 @@ class RemoteEstimatorClient:
                 raise TypeError("reply is not an object")
             if "error" in reply:
                 raise EstimatorUnavailableError(f"estimator error: {reply['error']}")
-            lb = float(reply["lb"])
-            ub = INF if reply["ub"] is None else float(reply["ub"])
-            return CostInterval(lb, ub), float(reply["time_ms"])
-        except (KeyError, TypeError, ValueError) as exc:
+            lb = as_number(reply["lb"], "lb")
+            ub = INF if reply["ub"] is None else as_number(reply["ub"], "ub")
+            time_ms = as_number(reply["time_ms"], "time_ms")
+            if time_ms < 0:
+                raise ValueError("negative time_ms")
+            return CostInterval(lb, ub), time_ms
+        except (KeyError, TypeError, ValueError, ManifestError) as exc:
             self.close()
             raise EstimatorUnavailableError(f"malformed estimator reply: {line!r}") from exc
 

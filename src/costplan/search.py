@@ -39,14 +39,24 @@ HEURISTICS = ("blind", "hmax")
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """What an episode certifies and how it searches; the one check of both.
+
+    ``epsilon`` (>= 1; inf accepts any plan) is the ub/lb ratio to certify.
+    ``refine_budget_ms``, when set, lets ``_solve`` keep refining the plan
+    after its verdict for at most that many ledger-charged ms; None stops there.
+    """
+
     epsilon: float = 1.0
     heuristic: str = "hmax"
+    refine_budget_ms: Optional[float] = None
 
     def __post_init__(self):
-        if self.epsilon < 1.0:
+        if not self.epsilon >= 1.0:  # NaN fails this too
             raise ValueError("epsilon must be >= 1")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
+        if self.refine_budget_ms is not None and math.isnan(self.refine_budget_ms):
+            raise ValueError("refine budget must not be nan")
 
 
 @dataclass(frozen=True)
@@ -264,6 +274,25 @@ def _pick_refinement(plan, registry) -> Optional[int]:
     return best
 
 
+def _refine_within(plan, registry, budget_ms: float) -> None:
+    """Refine the plan's widest refinable actions while the budget allows.
+
+    The budget counts what the ledger charges for these calls (measured time
+    under ``real_latency``); a call starts only if the spend so far plus its
+    level's declared time fits. An unavailable estimator is skipped.
+    """
+    first = len(registry.ledger)
+    while (target := _pick_refinement(plan, registry)) is not None:
+        cost_ms = registry.task.chains[target][registry.next_level[target]].time_ms
+        spent = sum(e.time_ms for e in registry.ledger[first:])
+        if spent + cost_ms > budget_ms + TOLERANCE:
+            return
+        try:
+            registry.invoke_next(target)
+        except EstimatorUnavailableError:
+            pass  # action is now marked unrefinable
+
+
 def _solve(
     task: PlanningTask, config: SearchConfig, registry: EstimatorRegistry,
     mode: str, started: float,
@@ -276,6 +305,10 @@ def _solve(
     across replans, so total invocations are bounded by the total chain
     length. ``started`` is the episode's ``perf_counter`` start. Each
     replan logs one DEBUG line on the ``costplan.search`` logger.
+
+    With ``config.refine_budget_ms`` set, the tail refines a found plan within
+    that budget (``_refine_within``) and rebuilds its bound, which only narrows;
+    the verdict stays, as an uncertified plan has nothing left to refine.
     """
     table = registry.table
     heuristic = make_heuristic(config.heuristic, task, table)
@@ -298,18 +331,21 @@ def _solve(
                 "replan %d: plan length %d, cost [%s, %s], ub/lb %s, %d expansions; %s",
                 replan, len(plan or ()), lb, ub, ratio, exp, verdict,
             )
-            cert = PlanCertificate(plan, lb, ub, config.epsilon, verdict)
             break
         log.debug(
             "replan %d: plan length %d, cost [%s, %s], ub/lb %s, %d expansions; "
             "refine %s level %d",
             replan, len(plan), lb, ub, ratio, exp,
-            task.actions[target].name, table.next_level[target] + 1,
+            task.actions[target].name, registry.next_level[target] + 1,
         )
         try:
             registry.invoke_next(target)
         except EstimatorUnavailableError:
             pass  # action is now marked unrefinable; re-plan
+    if plan is not None and config.refine_budget_ms is not None:
+        _refine_within(plan, registry, config.refine_budget_ms)
+        bound = table.plan_interval(plan)
+    cert = PlanCertificate(plan, bound.lb, bound.ub, config.epsilon, verdict)
     wall = time.perf_counter() - started
     return cert, _episode_report(task, registry, mode, expansions, wall)
 
@@ -342,44 +378,6 @@ def astar_offline(
 
 #: Mode name -> episode runner; the one vocabulary of the CLI, suites and reports.
 MODES = {"asec": asec, "offline": astar_offline}
-
-
-def post_search_refine(
-    certificate: PlanCertificate,
-    registry: EstimatorRegistry,
-    budget_ms: Optional[float] = None,
-) -> PlanCertificate:
-    """Narrow a found plan's cost bound by refining its widest actions.
-
-    Stops when the budget or every chain on the plan is exhausted. The
-    budget counts what the ledger charged for these calls (measured time
-    under ``real_latency``); a call starts only if the spend so far plus its
-    declared time fits. The verdict may upgrade uncertified -> certified,
-    never the reverse.
-    """
-    if certificate.plan is None:
-        return certificate
-    table = registry.table
-    first = len(registry.ledger)
-    while True:
-        target = _pick_refinement(certificate.plan, registry)
-        if target is None:
-            break
-        cost_ms = registry.task.chains[target][table.next_level[target]].time_ms
-        spent = sum(e.time_ms for e in registry.ledger[first:])
-        if budget_ms is not None and spent + cost_ms > budget_ms + TOLERANCE:
-            break
-        try:
-            registry.invoke_next(target)
-        except EstimatorUnavailableError:
-            continue
-    bound = table.plan_interval(certificate.plan)
-    verdict = certificate.verdict
-    if verdict == "uncertified" and certified(bound.lb, bound.ub, certificate.epsilon):
-        verdict = "certified"
-    return PlanCertificate(
-        certificate.plan, bound.lb, bound.ub, certificate.epsilon, verdict
-    )
 
 
 # ---------------------------------------------------------------------------

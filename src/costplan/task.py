@@ -117,16 +117,16 @@ def is_goal(state: State, task: PlanningTask) -> bool:
 class CostTable:
     """Current interval knowledge per action; single-writer per episode.
 
-    Refinement only narrows. An estimator reply that would widen an
-    interval is clamped to the intersection (with a warning); an empty
-    intersection is a hard model-inconsistency error. ``raised`` is an
-    append-only log of action ids, one entry per refinement that strictly
-    raised that action's lb; readers keep their own position in it.
+    It holds interval knowledge only; which estimator level comes next is
+    EstimatorRegistry.next_level. Refinement only narrows. An estimator
+    reply that would widen an interval is clamped to the intersection (with
+    a warning); an empty intersection is a hard model-inconsistency error.
+    ``raised`` is an append-only log of action ids, one entry per refinement
+    that strictly raised that action's lb; readers keep their own position.
     """
 
     def __init__(self, task: PlanningTask):
         self._intervals = list(task.priors)
-        self.next_level = [0] * len(task.chains)
         self.raised: list[int] = []
 
     def interval(self, action_id: int) -> CostInterval:

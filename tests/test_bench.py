@@ -168,8 +168,10 @@ def test_suite_validation():
 
     with pytest.raises(ConfigError, match="seeds"):
         _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "seeds": []})
-    with pytest.raises(ConfigError, match="epsilon"):
-        _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "epsilons": [0.5]})
+    for epsilon in (0.5, math.nan):
+        with pytest.raises(ConfigError, match="entry 0: epsilon must be >= 1"):
+            _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m",
+                                 "epsilons": [1.5, epsilon]})
     for modes in (["x"], [["asec"]]):
         with pytest.raises(ConfigError, match="entry 0: unknown mode"):
             _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "modes": modes})
@@ -204,6 +206,7 @@ def test_bench_suite_errors_exit_2(capsys, tmp_path):
         {"synthetic": {"levles": 2}}, {"synthetic": {}, "heuristic": "hmx"},
         {"synthetic": {}, "modes": [["asec"]]}, {"synthetic": {}, "seeds": 5},
         {"synthetic": 5}, {"synthetic": {}, "epsilons": 1.5}, {"synthetic": {}, "epsilons": ["x"]},
+        {"synthetic": {}, "epsilons": [math.nan]},
     )
     cases = [({"entries": [{"generate": grid, **bad}]}, "suite entry 0: ") for bad in bad_entries]
     cases += [({"entries": [5]}, "suite entry 0: "), ([], "suite: "), ({"entries": {}}, "suite: ")]

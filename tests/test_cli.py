@@ -74,6 +74,28 @@ def test_plan_rejects_small_epsilon(capsys, drive_paths):
     assert "epsilon must be >= 1" in err
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("plan", ["--epsilon", "nan"], "epsilon must be >= 1"),
+    ("compare", ["--epsilon", "nan"], "epsilon must be >= 1"),
+    ("plan", ["--refine-budget-ms", "nan"], "refine budget must not be nan"),
+])
+def test_nan_settings_exit_2(capsys, drive_paths, command, flags, message):
+    code, out, err = run(capsys, command, *plan_args(drive_paths, *flags)[1:])
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err
+
+
+def test_plan_malformed_pddl_exit_2(capsys, drive_paths, tmp_path):
+    domain = tmp_path / "d.pddl"
+    domain.write_text("(define (domain d) (:action))")
+    code, _, err = run(
+        capsys, "plan", "--domain", str(domain),
+        "--problem", drive_paths["problem"], "--manifest", drive_paths["manifest"],
+    )
+    assert code == 2
+    assert err == "error: :action needs a name\n"
+
+
 def test_plan_missing_file_exit_2(capsys, drive_paths):
     code, _, err = run(
         capsys, "plan", "--domain", "nope.pddl",

@@ -80,10 +80,23 @@ DRIVE = {"action": "drive a b"}
         ({"actions": [{**DRIVE, "true_cost": math.nan}]}, "true_cost must be a finite number"),
         ({"actions": [{**DRIVE, "true_cost": True}]}, "true_cost must be a finite number"),
         ({"actions": [{**DRIVE, "true_cost": 10**400}]}, "true_cost must be a finite number"),
+        ({"actions": [{**DRIVE, "prior": [True, "9"]}]},
+         r"entry 0 \('drive a b'\) prior: lb must be a finite number, got True"),
+        ({"actions": [{**DRIVE, "prior": [0, "9"]}]}, r"prior: ub must be a finite number, got '9'"),
+        ({"default": {"prior": [0, "Infinity"]}},
+         "default prior: ub must be a finite number, got 'Infinity'"),
+        ({"actions": [{**DRIVE, "estimators": [{"time_ms": 1, "interval": [0, math.inf]}]}]},
+         r"level 1: ub must be a finite number, got inf"),
+        ({"actions": [{**DRIVE, "estimators": [{"time_ms": 1, "interval": [math.nan, 1]}]}]},
+         r"level 1: lb must be a finite number, got nan"),
+        ({"actions": [{**DRIVE, "estimators": [{"time_ms": 1, "interval": [None, 1]}]}]},
+         r"level 1: lb must be a finite number, got None"),
     ],
     ids=[
         "default-list", "actions-object", "action-list", "estimators-int", "level-int", "time-str",
         "time-inf", "true-cost-str", "true-cost-nan", "true-cost-bool", "true-cost-huge",
+        "prior-lb-bool", "prior-ub-str", "default-prior-ub-infinity-str", "interval-ub-inf",
+        "interval-lb-nan", "interval-lb-null",
     ],
 )
 def test_malformed_shapes_rejected(doc, message):

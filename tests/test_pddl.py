@@ -67,6 +67,21 @@ def test_syntax_error_carries_location():
         assert (info.value.line, info.value.column) == (line, column), text
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_domain, "()"),
+    (parse_problem, "()"),
+    (parse_domain, "(define)"),
+    (parse_problem, "(define)"),
+    (parse_domain, "(define (domain))"),
+    (parse_problem, "(define (problem))"),
+    (parse_domain, "(define (domain d) (:action))"),
+    (parse_problem, "(define (problem p) (:domain))"),
+])
+def test_truncated_forms_are_syntax_errors(parse, text):
+    with pytest.raises(PddlSyntaxError):
+        parse(text)
+
+
 def test_undeclared_variable_rejected():
     text = """
     (define (domain x) (:predicates (p ?a - object))

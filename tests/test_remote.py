@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import socket
 import socketserver
 import time
@@ -14,7 +15,7 @@ from costplan.intervals import CostInterval
 from costplan.manifest import load_manifest
 from costplan.pddl import ground
 from costplan.remote import MockEstimatorServer, RemoteEstimatorClient
-from costplan.search import SearchConfig, asec, astar_offline, post_search_refine
+from costplan.search import SearchConfig, asec, astar_offline
 
 from helpers import make_task
 
@@ -188,6 +189,41 @@ def test_malformed_reply_drops_the_connection(late_server):
     assert len(late_server.connections) == 2
 
 
+class EchoReplyHandler(socketserver.StreamRequestHandler):
+    """Replies to each request with its "action" string as the reply line."""
+
+    def handle(self):
+        for raw in self.rfile:
+            self.wfile.write(json.loads(raw)["action"].encode() + b"\n")
+
+
+@pytest.mark.parametrize("reply", [
+    '{"lb": true, "ub": "9", "time_ms": "1"}',
+    '{"lb": 1, "ub": 9, "time_ms": "1"}',
+    '{"lb": 1, "ub": "Infinity", "time_ms": 1}',
+    '{"lb": 1, "ub": Infinity, "time_ms": 1}',
+    '{"lb": 1, "ub": 9, "time_ms": "nan"}',
+    '{"lb": 1, "ub": 9, "time_ms": NaN}',
+    '{"lb": 1, "ub": 9, "time_ms": -50}',
+], ids=[
+    "bool-and-strings", "time-str", "ub-infinity-str", "ub-infinity", "time-nan-str", "time-nan",
+    "time-negative",
+])
+def test_bad_number_reply_is_malformed(drive_paths, reply):
+    server = CountingServer(load_manifest(drive_paths["manifest"]), EchoReplyHandler)
+    server.start_background()
+    try:
+        with RemoteEstimatorClient("127.0.0.1", server.port) as client:
+            with pytest.raises(EstimatorUnavailableError, match="malformed estimator reply"):
+                client.estimate(reply, 1)
+            interval, time_ms = client.estimate('{"lb": 2, "ub": null, "time_ms": 0}', 1)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert (interval, time_ms) == (CostInterval(2.0, math.inf), 0.0)
+    assert len(server.connections) == 2  # the malformed reply dropped the first
+
+
 @pytest.mark.parametrize("command", ["plan", "compare"])
 def test_cli_closes_its_connection(capsys, drive_paths, drive_server, command):
     from costplan.cli import main
@@ -264,9 +300,7 @@ def test_real_latency_refine_budget_counts_measured_time():
             return task.chains[0][level - 1].interval, 1.0
 
     registry = EstimatorRegistry(task, remote=SlowServer(), real_latency=True)
-    cert, _ = asec(task, SearchConfig(epsilon=float("inf")), registry)
-    assert not registry.ledger
-    refined = post_search_refine(cert, registry, budget_ms=5.0)
+    refined, _ = asec(task, SearchConfig(epsilon=float("inf"), refine_budget_ms=5.0), registry)
     assert len(registry.ledger) == 1  # the first call spent the budget
     assert registry.ledger[0].time_ms >= 30.0
     assert (refined.lower, refined.upper) == (5.0, 10.0)

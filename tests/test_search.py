@@ -23,7 +23,6 @@ from costplan.search import (
     hmax,
     make_heuristic,
     oracle_optimal,
-    post_search_refine,
 )
 from costplan.task import CostTable
 
@@ -485,44 +484,28 @@ def test_offline_equals_asec_with_single_exact_levels():
 # ---------------------------------------------------------------------------
 # Post-search refinement
 
-def refine_fixture():
+def refine_fixture(budget_ms):
     task = make_task(
         [("a", {0}, {1}, set(), [(1.0, (5.0, 10.0)), (10.0, (7.0, 7.0))])],
         goal={1},
     )
     registry = EstimatorRegistry(task)
     registry.invoke_next(0)  # table now [5,10]
-    cert, _ = asec(task, SearchConfig(epsilon=3.0), registry)
-    return task, registry, cert
+    return asec(task, SearchConfig(epsilon=3.0, refine_budget_ms=budget_ms), registry)
 
 
 def test_refine_budget_zero_is_noop():
-    _, registry, cert = refine_fixture()
-    assert post_search_refine(cert, registry, budget_ms=0.0) == cert
+    assert refine_fixture(0.0) == refine_fixture(None)
 
 
 def test_refine_narrows_bound():
-    _, registry, cert = refine_fixture()
+    cert, _ = refine_fixture(None)
     assert (cert.lower, cert.upper) == (5.0, 10.0)
-    refined = post_search_refine(cert, registry, budget_ms=None)
+    refined, report = refine_fixture(INF)
     assert (refined.lower, refined.upper) == (7.0, 7.0)
-    assert refined.plan == cert.plan
-
-
-def test_refine_upgrades_verdict():
-    # a certificate stuck at U/L = 8/5 = 1.6 > 1.5; one refinement reaches 7/5 = 1.4
-    from costplan.search import PlanCertificate
-
-    task = make_task(
-        [("a", {0}, {1}, set(), [(1.0, (5.0, 7.0))])],
-        goal={1},
-        priors={0: (5.0, 8.0)},
-    )
-    registry = EstimatorRegistry(task)
-    cert = PlanCertificate(plan=(0,), lower=5.0, upper=8.0, epsilon=1.5, verdict="uncertified")
-    refined = post_search_refine(cert, registry, budget_ms=None)
-    assert refined.verdict == "certified"
-    assert (refined.lower, refined.upper) == (5.0, 7.0)
+    assert (refined.plan, refined.verdict) == (cert.plan, "certified")
+    assert [(e.level, e.time_ms) for e in report.calls] == [(1, 1.0), (2, 10.0)]
+    assert (report.a_actual, report.t_modeling_ms) == (frozenset({0}), 11.0)
 
 
 def test_refine_budget_limits_spend():
@@ -531,8 +514,7 @@ def test_refine_budget_limits_spend():
         goal={1},
     )
     registry = EstimatorRegistry(task)
-    cert, _ = asec(task, SearchConfig(epsilon=INF), registry)
-    refined = post_search_refine(cert, registry, budget_ms=5.0)
+    refined, _ = asec(task, SearchConfig(epsilon=INF, refine_budget_ms=5.0), registry)
     # level 1 (1 ms) fits; level 2 (50 ms) does not
     assert (refined.lower, refined.upper) == (5.0, 10.0)
     assert registry.total_charged_ms() == 1.0
