@@ -27,10 +27,10 @@ import os
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, PlanningError
+from .errors import ConfigError, ManifestError, PlanningError
 from .estimators import SyntheticConfig, generate_synthetic
 from .intervals import INF, CostInterval
-from .manifest import EstimatorManifest, load_manifest
+from .manifest import EstimatorManifest, as_number, load_manifest
 from .metrics import RunRecord, compare, emit_report
 from .pddl import (
     ActionSchema,
@@ -214,16 +214,13 @@ def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
         if not isinstance(raw.get(key, []), list):
             raise ConfigError(f"suite entry {i}: {key} must be a list")
     seeds = tuple(raw.get("seeds", [0]))
-    if not seeds:
-        raise ConfigError(f"suite entry {i}: seeds must be nonempty")
+    if not seeds or any(type(seed) is not int for seed in seeds):
+        raise ConfigError(f"suite entry {i}: seeds must be a nonempty list of integers")
     try:
-        epsilons = tuple(float(e) for e in raw.get("epsilons", [1.0]))
-    except (TypeError, ValueError):
-        raise ConfigError(f"suite entry {i}: epsilons must be numbers") from None
-    try:
+        epsilons = tuple(as_number(e, "epsilon") for e in raw.get("epsilons", [1.0]))
         for epsilon in epsilons:
             SearchConfig(epsilon)  # the one epsilon rule
-    except ValueError as exc:
+    except (ManifestError, ValueError) as exc:
         raise ConfigError(f"suite entry {i}: {exc}") from None
     modes = tuple(raw.get("modes", list(MODES)))
     for mode in modes:

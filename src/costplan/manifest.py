@@ -49,44 +49,37 @@ class EstimatorManifest:
 def _as_interval(raw, where: str) -> CostInterval:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ManifestError(f"{where}: interval must be a [lb, ub] pair")
-    lb = as_number(raw[0], f"{where}: lb")
-    ub = INF if raw[1] is None else as_number(raw[1], f"{where}: ub")
     try:
-        return CostInterval(lb, ub)
-    except ValueError as exc:
+        lb = as_number(raw[0], "lb")
+        return CostInterval(lb, INF if raw[1] is None else as_number(raw[1], "ub"))
+    except (ManifestError, ValueError) as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
-def _validate_entry(entry: ManifestEntry, index: int) -> None:
+def _validate_entry(entry: ManifestEntry) -> None:
+    """Raise for a broken invariant, with text to follow the entry's name."""
     prev_time = -INF
     prev = entry.prior
     if prev is not None and entry.true_cost is not None and not prev.contains(entry.true_cost):
-        raise InvariantViolationError(
-            f"entry {index} ({entry.action!r}): true cost {entry.true_cost} outside prior"
-        )
+        raise InvariantViolationError(f": true cost {entry.true_cost} outside prior")
     for lvl_no, level in enumerate(entry.levels, start=1):
-        where = f"entry {index} ({entry.action!r}), level {lvl_no}"
+        iv = level.interval
         if level.time_ms < 0:
-            raise InvariantViolationError(f"{where}: negative time_ms")
-        if level.time_ms < prev_time:
-            raise InvariantViolationError(
-                f"{where}: time {level.time_ms} decreases below {prev_time}"
-            )
-        prev_time = level.time_ms
-        if prev is not None and not prev.contains_interval(level.interval):
-            raise InvariantViolationError(
-                f"{where}: interval [{level.interval.lb}, {level.interval.ub}] "
-                f"not nested in [{prev.lb}, {prev.ub}]"
-            )
-        prev = level.interval
-        if entry.true_cost is not None and not level.interval.contains(entry.true_cost):
-            raise InvariantViolationError(
-                f"{where}: true cost {entry.true_cost} outside interval"
-            )
+            problem = "negative time_ms"
+        elif level.time_ms < prev_time:
+            problem = f"time {level.time_ms} decreases below {prev_time}"
+        elif prev is not None and not prev.contains_interval(iv):
+            problem = f"interval [{iv.lb}, {iv.ub}] not nested in [{prev.lb}, {prev.ub}]"
+        elif entry.true_cost is not None and not iv.contains(entry.true_cost):
+            problem = f"true cost {entry.true_cost} outside interval"
+        else:
+            prev_time, prev = level.time_ms, iv
+            continue
+        raise InvariantViolationError(f", level {lvl_no}: {problem}")
 
 
 def as_number(raw, where: str) -> float:
-    """A finite JSON number (not a bool) as a float; manifests and remote replies."""
+    """A finite JSON number (not a bool) as a float; manifests, remote replies, suites."""
     try:
         value = float(raw) if type(raw) in (int, float) else math.nan
     except OverflowError:  # an int beyond float range
@@ -96,12 +89,43 @@ def as_number(raw, where: str) -> float:
     return value
 
 
+def _parse_entry(raw: dict) -> ManifestEntry:
+    """One checked 'actions' item. Error text starts after the entry's own
+    name ("entry I ('A')"), which parse_manifest puts in front when raising."""
+    estimators = raw.get("estimators", [])
+    if not isinstance(estimators, list):
+        raise ManifestError(": estimators must be a list")
+    levels = []
+    for j, lvl in enumerate(estimators, start=1):
+        try:
+            if not isinstance(lvl, dict):
+                raise ManifestError(": must be an object")
+            levels.append(ManifestLevel(
+                time_ms=as_number(lvl.get("time_ms", 0.0), ": time_ms"),
+                interval=_as_interval(lvl.get("interval"), ""),
+            ))
+        except ManifestError as exc:
+            raise ManifestError(f", level {j}{exc}") from exc.__cause__
+    true_cost = raw.get("true_cost")
+    prior = raw.get("prior")
+    entry = ManifestEntry(
+        action=raw["action"],
+        levels=tuple(levels),
+        true_cost=None if true_cost is None else as_number(true_cost, ": true_cost"),
+        prior=None if prior is None else _as_interval(prior, " prior"),
+    )
+    _validate_entry(entry)
+    return entry
+
+
 def parse_manifest(text: str) -> EstimatorManifest:
     """Parse and validate a JSON estimator manifest."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ManifestError("manifest nests too deeply") from None
     if not isinstance(doc, dict):
         raise ManifestError("manifest root must be an object")
 
@@ -122,28 +146,10 @@ def parse_manifest(text: str) -> EstimatorManifest:
         if name in seen:
             raise ManifestError(f"duplicate manifest entry for action {name!r}")
         seen.add(name)
-        where = f"entry {i} ({name!r})"
-        estimators = raw.get("estimators", [])
-        if not isinstance(estimators, list):
-            raise ManifestError(f"{where}: estimators must be a list")
-        levels = []
-        for j, lvl in enumerate(estimators, start=1):
-            if not isinstance(lvl, dict):
-                raise ManifestError(f"{where}, level {j}: must be an object")
-            levels.append(ManifestLevel(
-                time_ms=as_number(lvl.get("time_ms", 0.0), f"{where}, level {j}: time_ms"),
-                interval=_as_interval(lvl.get("interval"), f"{where}, level {j}"),
-            ))
-        true_cost = raw.get("true_cost")
-        entry_prior = raw.get("prior")
-        entry = ManifestEntry(
-            action=name,
-            levels=tuple(levels),
-            true_cost=None if true_cost is None else as_number(true_cost, f"{where}: true_cost"),
-            prior=None if entry_prior is None else _as_interval(entry_prior, f"{where} prior"),
-        )
-        _validate_entry(entry, i)
-        entries.append(entry)
+        try:
+            entries.append(_parse_entry(raw))
+        except ManifestError as exc:
+            raise type(exc)(f"entry {i} ({name!r}){exc}") from exc.__cause__
     return EstimatorManifest(default_prior=prior, entries=tuple(entries))
 
 
@@ -153,24 +159,31 @@ def load_manifest(path) -> EstimatorManifest:
 
 
 def manifest_to_json(manifest: EstimatorManifest) -> str:
-    """Serialize a manifest; inverse of parse_manifest, byte-deterministic."""
+    """Serialize a manifest; inverse of parse_manifest, byte-deterministic.
 
-    def ub(v):
-        return None if math.isinf(v) else v
+    The text is what json.dumps(document, indent=2) writes, formatted here
+    directly: with an indent, json's encoder runs in pure Python, at a few
+    times the cost.
+    """
+    def number(value) -> str:  # float.__repr__ is what json writes for a finite float
+        return repr(value) if type(value) is float and math.isfinite(value) else json.dumps(value)
 
-    doc = {
-        "default": {"prior": [manifest.default_prior.lb, ub(manifest.default_prior.ub)]},
-        "actions": [
-            {
-                "action": e.action,
-                **({"true_cost": e.true_cost} if e.true_cost is not None else {}),
-                **({"prior": [e.prior.lb, ub(e.prior.ub)]} if e.prior is not None else {}),
-                "estimators": [
-                    {"time_ms": l.time_ms, "interval": [l.interval.lb, ub(l.interval.ub)]}
-                    for l in e.levels
-                ],
-            }
-            for e in manifest.entries
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    def array(items: list, pad: str) -> str:  # items already formatted at pad + 2
+        return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
+
+    def interval(iv: CostInterval, pad: str) -> str:
+        return array([number(iv.lb), "null" if math.isinf(iv.ub) else number(iv.ub)], pad)
+
+    entries = []
+    for e in manifest.entries:
+        fields = [f'"action": {json.dumps(e.action)}']
+        if e.true_cost is not None:
+            fields.append(f'"true_cost": {number(e.true_cost)}')
+        if e.prior is not None:
+            fields.append(f'"prior": {interval(e.prior, " " * 6)}')
+        levels = [f'{{\n          "time_ms": {number(level.time_ms)},\n          "interval": '
+                  f'{interval(level.interval, " " * 10)}\n        }}' for level in e.levels]
+        fields.append(f'"estimators": {array(levels, " " * 6)}')
+        entries.append("{\n      " + ",\n      ".join(fields) + "\n    }")
+    return (f'{{\n  "default": {{\n    "prior": {interval(manifest.default_prior, " " * 4)}\n  }},'
+            f'\n  "actions": {array(entries, "  ")}\n}}')

@@ -40,58 +40,47 @@ RESERVED_HEADS = frozenset({"and", "not", "or", "forall", "exists", "when", "="}
 # ---------------------------------------------------------------------------
 # S-expression reader
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+#: A comment (matched as "" to the end of its line), "(", ")" or a word.
+_TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
 
 
-_TOKEN = re.compile(r";|[()]|[^ \t\r\n();]+")  # a comment start, a parenthesis or a word
-
-
-def _tokenize(text: str):
-    tokens = []
-    for line, chars in enumerate(text.split("\n"), 1):
-        for match in _TOKEN.finditer(chars):
-            if match.group() == ";":
-                break  # the comment runs to the end of the line
-            tokens.append(_Token(match.group().lower(), line, match.start() + 1))
-    return tokens
-
-
-def _read_sexpr(tokens, pos):
-    if pos >= len(tokens):
-        raise PddlSyntaxError("unexpected end of input")
-    tok = tokens[pos]
-    if tok.text == ")":
-        raise PddlSyntaxError("unexpected ')'", tok.line, tok.column)
-    if tok.text != "(":
-        return tok, pos + 1
-    items = []
-    pos += 1
-    while True:
-        if pos >= len(tokens):
-            raise PddlSyntaxError("missing ')'", tok.line, tok.column)
-        if tokens[pos].text == ")":
-            return items, pos + 1
-        item, pos = _read_sexpr(tokens, pos)
-        items.append(item)
+def _position(text: str, index: int) -> tuple:
+    """(line, column) of the index-th token; re-scans the original text, as
+    lower-casing can change lengths but makes no separator."""
+    start = next(itertools.islice(_TOKEN.finditer(text), index, None)).start()
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 def _parse_sexpr(text: str):
-    tokens = _tokenize(text)
-    expr, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        extra = tokens[pos]
-        raise PddlSyntaxError("trailing tokens after top-level form", extra.line, extra.column)
-    return expr
+    """The one top-level form as nested lists of lower-case words (str)."""
+    tokens = _TOKEN.findall(text.lower())
+    items = top = []
+    stack = []  # (enclosing list, token index) of each open "("
+    for index, tok in enumerate(tokens):
+        if not tok:
+            continue
+        if top and not stack:
+            raise PddlSyntaxError("trailing tokens after top-level form", *_position(text, index))
+        if tok == "(":
+            stack.append((items, index))
+            items.append(items := [])  # into the enclosing list, then descend
+        elif tok == ")":
+            if not stack:
+                raise PddlSyntaxError("unexpected ')'", *_position(text, index))
+            items = stack.pop()[0]
+        else:
+            items.append(tok)
+    if stack:
+        raise PddlSyntaxError("missing ')'", *_position(text, stack[-1][1]))
+    if not top:
+        raise PddlSyntaxError("unexpected end of input")
+    return top[0]
 
 
 def _word(item, context: str) -> str:
-    if not isinstance(item, _Token):
+    if not isinstance(item, str):
         raise PddlSyntaxError(f"expected a symbol in {context}, got a list")
-    return item.text
+    return item
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +163,20 @@ def _parse_atom(expr, context: str) -> Atom:
 
 def _parse_conjunction(expr, context: str):
     """A single atom, or (and atom...); returns a tuple of atoms."""
-    if isinstance(expr, list) and expr and isinstance(expr[0], _Token) and expr[0].text == "and":
+    if isinstance(expr, list) and expr and expr[0] == "and":
         return tuple(_parse_atom(e, context) for e in expr[1:])
     return (_parse_atom(expr, context),)
 
 
 def _parse_effect(expr, context: str):
     """Conjunction of literals; returns (add, delete) atom tuples."""
-    if isinstance(expr, list) and expr and isinstance(expr[0], _Token) and expr[0].text == "and":
+    if isinstance(expr, list) and expr and expr[0] == "and":
         literals = expr[1:]
     else:
         literals = [expr]
     add, delete = [], []
     for lit in literals:
-        if (
-            isinstance(lit, list)
-            and lit
-            and isinstance(lit[0], _Token)
-            and lit[0].text == "not"
-        ):
+        if isinstance(lit, list) and lit and lit[0] == "not":
             if len(lit) != 2:
                 raise PddlSyntaxError(f"malformed (not ...) in {context}")
             delete.append(_parse_atom(lit[1], context))

@@ -81,7 +81,7 @@ class RemoteEstimatorClient:
             if time_ms < 0:
                 raise ValueError("negative time_ms")
             return CostInterval(lb, ub), time_ms
-        except (KeyError, TypeError, ValueError, ManifestError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError, ManifestError) as exc:
             self.close()
             raise EstimatorUnavailableError(f"malformed estimator reply: {line!r}") from exc
 
@@ -114,7 +114,7 @@ class _Handler(socketserver.StreamRequestHandler):
             request = json.loads(line)
             action = request["action"]
             level = int(request["level"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, RecursionError):
             return {"error": "malformed request"}
         entry = self.server.entries.get(action)
         if entry is None:

@@ -279,18 +279,23 @@ def _refine_within(plan, registry, budget_ms: float) -> None:
 
     The budget counts what the ledger charges for these calls (measured time
     under ``real_latency``); a call starts only if the spend so far plus its
-    level's declared time fits. An unavailable estimator is skipped.
+    level's declared time fits. An unavailable estimator is skipped. Each
+    call logs one DEBUG line.
     """
-    first = len(registry.ledger)
+    spent = 0.0
     while (target := _pick_refinement(plan, registry)) is not None:
-        cost_ms = registry.task.chains[target][registry.next_level[target]].time_ms
-        spent = sum(e.time_ms for e in registry.ledger[first:])
-        if spent + cost_ms > budget_ms + TOLERANCE:
+        level = registry.next_level[target]
+        if spent + registry.task.chains[target][level].time_ms > budget_ms + TOLERANCE:
             return
+        calls = len(registry.ledger)
         try:
             registry.invoke_next(target)
         except EstimatorUnavailableError:
             pass  # action is now marked unrefinable
+        charged = sum(e.time_ms for e in registry.ledger[calls:])
+        spent += charged
+        log.debug("post-search refine %s level %d: charged %s ms, %s of %s ms spent",
+                  registry.task.actions[target].name, level + 1, charged, spent, budget_ms)
 
 
 def _solve(
@@ -345,6 +350,7 @@ def _solve(
     if plan is not None and config.refine_budget_ms is not None:
         _refine_within(plan, registry, config.refine_budget_ms)
         bound = table.plan_interval(plan)
+        log.debug("post-search cost [%s, %s]; %s", bound.lb, bound.ub, verdict)
     cert = PlanCertificate(plan, bound.lb, bound.ub, config.epsilon, verdict)
     wall = time.perf_counter() - started
     return cert, _episode_report(task, registry, mode, expansions, wall)

@@ -8,9 +8,6 @@ import itertools
 import json
 import math
 import random
-import time
-
-import pytest
 
 from costplan.bench import (
     EMPTY_MANIFEST,
@@ -33,25 +30,9 @@ from costplan.pddl import (
 from costplan.remote import MockEstimatorServer, RemoteEstimatorClient
 from costplan.search import SearchConfig, asec, astar_offline, oracle_optimal
 
-from helpers import acceptance_instance, make_task
+from helpers import make_task
 
-EPSILONS = (1.0, 1.1, 1.5, 2.0)
-N_INSTANCES = 200
 SUITE_CONFIG = SyntheticConfig(levels=3, exact_final=True)
-
-
-@pytest.fixture(scope="module")
-def suite_runs():
-    """All (instance, epsilon) episodes shared by criteria 1, 2 and 4."""
-    started = time.perf_counter()
-    runs = []
-    for index in range(N_INSTANCES):
-        task = acceptance_instance(index, seed=index)
-        c_star = oracle_optimal(task, state_bound=10**4)
-        for eps in EPSILONS:
-            cert, report = asec(task, SearchConfig(epsilon=eps))
-            runs.append((task, eps, c_star, cert, report))
-    return runs, time.perf_counter() - started
 
 
 def test_criterion_1_soundness(suite_runs):

@@ -166,10 +166,14 @@ def test_suite_isolates_undecodable_files(caplog, capsys, tmp_path):
 def test_suite_validation():
     from costplan.bench import _entry_from_json
 
-    with pytest.raises(ConfigError, match="seeds"):
-        _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "seeds": []})
-    for epsilon in (0.5, math.nan):
-        with pytest.raises(ConfigError, match="entry 0: epsilon must be >= 1"):
+    for seeds in ([], [0, True], [0, "x"], [0, 1.0]):
+        with pytest.raises(ConfigError, match="entry 0: seeds must be a nonempty list of integers"):
+            _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "seeds": seeds})
+    for epsilon, message in ((0.5, "epsilon must be >= 1"),
+                             (math.nan, "epsilon must be a finite number, got nan"),
+                             (True, "epsilon must be a finite number, got True"),
+                             ("1.5", "epsilon must be a finite number, got '1.5'")):
+        with pytest.raises(ConfigError, match=f"entry 0: {message}"):
             _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m",
                                  "epsilons": [1.5, epsilon]})
     for modes in (["x"], [["asec"]]):
@@ -192,8 +196,6 @@ def test_suite_validation():
     for key in ("seeds", "epsilons", "modes"):
         with pytest.raises(ConfigError, match=f"entry 0: {key} must be a list"):
             _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", key: 5})
-    with pytest.raises(ConfigError, match="entry 0: epsilons must be numbers"):
-        _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", "epsilons": ["x"]})
     with pytest.raises(ConfigError, match="entry 0: synthetic must be an object"):
         _entry_from_json(0, {"domain": "d", "problem": "p", "synthetic": 5})
 

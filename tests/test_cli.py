@@ -116,6 +116,23 @@ def test_plan_malformed_manifest_exit_2(capsys, drive_paths, tmp_path):
     assert "error: default must be an object" in err
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--domain", "(define (domain drive) (:predicates " + "(" * 3000 + ")" * 3000 + "))",
+     "error: expected a symbol in :predicates, got a list\n"),
+    ("--manifest", '{"actions": ' + "[" * 200000 + "]" * 200000 + "}",
+     "error: manifest nests too deeply\n"),
+], ids=["pddl", "manifest"])
+def test_deep_nesting_exit_2(capsys, drive_paths, tmp_path, flag, text, message):
+    path = tmp_path / "deep"
+    path.write_text(text)
+    paths = {**drive_paths, flag[2:]: str(path)}
+    code, _, err = run(
+        capsys, "plan", "--domain", paths["domain"],
+        "--problem", paths["problem"], "--manifest", paths["manifest"],
+    )
+    assert (code, err) == (2, message)
+
+
 def test_compare_prints_deltas(capsys, drive_paths):
     code, out, _ = run(
         capsys, "compare",

@@ -3,8 +3,18 @@ import math
 
 import pytest
 
+from costplan.bench import gen_logistics, synthetic_manifest_for
 from costplan.errors import InvariantViolationError, ManifestError
-from costplan.manifest import load_manifest, manifest_to_json, parse_manifest
+from costplan.estimators import SyntheticConfig
+from costplan.intervals import INF, CostInterval
+from costplan.manifest import (
+    EstimatorManifest,
+    ManifestEntry,
+    ManifestLevel,
+    load_manifest,
+    manifest_to_json,
+    parse_manifest,
+)
 
 
 def entry_json(times, intervals, true_cost=None, action="a x"):
@@ -115,3 +125,45 @@ def test_serialization_roundtrip(drive_paths):
     manifest = load_manifest(drive_paths["manifest"])
     again = parse_manifest(manifest_to_json(manifest))
     assert again == manifest
+
+
+def reference_json(manifest):
+    """manifest_to_json's text built the plain way: json.dumps(indent=2)."""
+
+    def ub(v):
+        return None if math.isinf(v) else v
+
+    doc = {
+        "default": {"prior": [manifest.default_prior.lb, ub(manifest.default_prior.ub)]},
+        "actions": [
+            {
+                "action": e.action,
+                **({"true_cost": e.true_cost} if e.true_cost is not None else {}),
+                **({"prior": [e.prior.lb, ub(e.prior.ub)]} if e.prior is not None else {}),
+                "estimators": [
+                    {"time_ms": l.time_ms, "interval": [l.interval.lb, ub(l.interval.ub)]}
+                    for l in e.levels
+                ],
+            }
+            for e in manifest.entries
+        ],
+    }
+    return json.dumps(doc, indent=2)
+
+
+def test_serialization_matches_json_dumps(drive_paths):
+    domain, problem = gen_logistics(1, 2, 1, seed=3)
+    manifests = [
+        load_manifest(drive_paths["manifest"]),
+        synthetic_manifest_for(domain, problem, 3, SyntheticConfig(levels=3)),
+        EstimatorManifest(CostInterval(0.5, 3), ()),
+        EstimatorManifest(CostInterval(0, INF), (
+            ManifestEntry('d\u00e9 "x"\n\\', (), None, CostInterval(1.0, 2.0)),
+            ManifestEntry("\u65e5 \u672c", (
+                ManifestLevel(0, CostInterval(0.1, 1e22)),
+                ManifestLevel(2.5, CostInterval(1e-7, 1e-7)),
+            ), 1e-7, None),
+        )),
+    ]
+    for manifest in manifests:
+        assert manifest_to_json(manifest) == reference_json(manifest)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from costplan.bench import gen_gridworld, gen_logistics
 from costplan.errors import GroundingError, PddlSyntaxError, UnsupportedFeatureError
 from costplan.intervals import INF, CostInterval
 from costplan.manifest import EstimatorManifest, ManifestEntry, ManifestLevel, parse_manifest
@@ -60,6 +61,14 @@ def test_syntax_error_carries_location():
         ("(define (domain x))\n\t\t(p)", 2, 3),
         ("(define (domain x)) ; (p))\n;)\n \t)", 3, 3),
         ("; (define\r\n(define (domain x)\r\n\t(:predicates (p)) ; )\r\n", 2, 1),
+        # columns count characters of the original text, not of its lower case
+        ("(define (domain İİ)) ü)", 1, 22),
+        ("(define (domain ÄΣ))\n  ; ünï (\n  İx )", 3, 3),
+        ("\x0c(define (domain x))", 1, 2),  # a form feed is part of a word
+        ("(define (domain x)\r\n\r\n  (:predicates (p)\r\n", 3, 3),  # innermost open list
+        ("; )\n(define (domain x) ; (\n (p)) ; )\n)", 4, 1),
+        (";(\n  ) (define (domain x))", 2, 3),  # ')' as the first token
+        ("(define (domain x)\n  (:action a :parameters (?x\n", 2, 26),
     ]
     for text, line, column in cases:
         with pytest.raises(PddlSyntaxError) as info:
@@ -305,6 +314,13 @@ def test_domain_roundtrip(drive_paths):
 def test_problem_roundtrip(drive_paths):
     with open(drive_paths["problem"]) as fh:
         problem = parse_problem(fh.read())
+    assert parse_problem(print_problem(problem)) == problem
+
+
+@pytest.mark.parametrize("domain, problem", [gen_gridworld(20, 20), gen_logistics(2, 4, 3)],
+                         ids=["grid20x20", "logistics2t4c3p"])
+def test_benchmark_shapes_roundtrip(domain, problem):
+    assert parse_domain(print_domain(domain)) == domain
     assert parse_problem(print_problem(problem)) == problem
 
 

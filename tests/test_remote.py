@@ -205,9 +205,10 @@ class EchoReplyHandler(socketserver.StreamRequestHandler):
     '{"lb": 1, "ub": 9, "time_ms": "nan"}',
     '{"lb": 1, "ub": 9, "time_ms": NaN}',
     '{"lb": 1, "ub": 9, "time_ms": -50}',
+    "[" * 200000 + "]" * 200000,
 ], ids=[
     "bool-and-strings", "time-str", "ub-infinity-str", "ub-infinity", "time-nan-str", "time-nan",
-    "time-negative",
+    "time-negative", "deep-nesting",
 ])
 def test_bad_number_reply_is_malformed(drive_paths, reply):
     server = CountingServer(load_manifest(drive_paths["manifest"]), EchoReplyHandler)

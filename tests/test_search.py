@@ -520,6 +520,19 @@ def test_refine_budget_limits_spend():
     assert registry.total_charged_ms() == 1.0
 
 
+def test_post_search_refinement_logged_at_debug(caplog, drive_task):
+    # epsilon 2 certifies after the 1 ms level; the budget buys the 100 ms level
+    caplog.set_level(logging.DEBUG, logger="costplan.search")
+    cert, _ = asec(drive_task, SearchConfig(epsilon=2.0, refine_budget_ms=500.0))
+    lines = [r.getMessage() for r in caplog.records if r.name == "costplan.search"]
+    assert lines[-3].endswith("; certified") and "cost [5.0, 10.0]" in lines[-3]
+    assert lines[-2:] == [
+        "post-search refine drive a b level 2: charged 100.0 ms, 100.0 of 500.0 ms spent",
+        "post-search cost [7.0, 7.0]; certified",
+    ]
+    assert (cert.lower, cert.upper) == (7.0, 7.0)
+
+
 # ---------------------------------------------------------------------------
 # Oracle
 
