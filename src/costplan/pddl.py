@@ -131,6 +131,16 @@ class ProblemAst:
 # ---------------------------------------------------------------------------
 # Parsing helpers
 
+def _in_context(parse, expr, template: str, name: str):
+    """``parse(expr, context)``, where the context ``template.format(name)`` is
+    built only when parsing fails: the parse is re-run with it to raise."""
+    try:
+        return parse(expr, template)
+    except (PddlSyntaxError, UnsupportedFeatureError):
+        pass
+    return parse(expr, template.format(name))
+
+
 def _parse_typed_list(items, context: str):
     """Parse 'a b - t c - u d' into ((a,t),(b,t),(c,u),(d,object))."""
     out = []
@@ -230,7 +240,7 @@ def parse_domain(text: str) -> DomainAst:
                 if not isinstance(pred, list) or not pred:
                     raise PddlSyntaxError("malformed predicate schema")
                 pname = _word(pred[0], ":predicates")
-                params = _parse_typed_list(pred[1:], f"predicate {pname}")
+                params = _in_context(_parse_typed_list, pred[1:], "predicate {}", pname)
                 predicates.append(PredicateSchema(pname, params))
         elif key == ":action":
             actions.append(_parse_action(section))
@@ -258,18 +268,18 @@ def _parse_action(section) -> ActionSchema:
     add, delete = (), ()
     i = 2
     while i < len(section):
-        key = _word(section[i], f"action {name}")
+        key = _in_context(_word, section[i], "action {}", name)
         if i + 1 >= len(section):
             raise PddlSyntaxError(f"action {name}: {key} missing a value")
         value = section[i + 1]
         if key == ":parameters":
             if not isinstance(value, list):
                 raise PddlSyntaxError(f"action {name}: :parameters must be a list")
-            params = _parse_typed_list(value, f"action {name} parameters")
+            params = _in_context(_parse_typed_list, value, "action {} parameters", name)
         elif key == ":precondition":
-            pre = _parse_conjunction(value, f"action {name} precondition")
+            pre = _in_context(_parse_conjunction, value, "action {} precondition", name)
         elif key == ":effect":
-            add, delete = _parse_effect(value, f"action {name} effect")
+            add, delete = _in_context(_parse_effect, value, "action {} effect", name)
         else:
             raise UnsupportedFeatureError(f"action {name}: {key} is not supported")
         i += 2

@@ -26,7 +26,7 @@ from .errors import (
 from .estimators import EstimatorRegistry
 from .intervals import INF, TOLERANCE, CostInterval
 from .metrics import MetricsReport
-from .task import CostTable, PlanningTask, is_goal
+from .task import CostTable, PlanningTask, facts_of, is_goal, mask_of
 
 log = logging.getLogger("costplan.search")
 
@@ -78,12 +78,13 @@ def certified(lower: float, upper: float, epsilon: float) -> bool:
 # Heuristics (admissible w.r.t. the lower-bound cost table)
 
 class _HmaxEvaluator:
-    """Delete-relaxation h_max over current lower-bound costs.
+    """Delete-relaxation h_max over current lower-bound costs, on int states.
 
     Generalized Dijkstra over facts: an action fires when its last
     precondition is settled, at the max of its precondition costs. It runs
-    over the flat per-action and per-fact arrays of ``task.relaxed``,
-    compiled once per task on first use, and visits actions in id order.
+    over ``task.compiled.relaxation``: a one-precondition action is an edge
+    that fires when its fact settles, and only actions with more
+    preconditions are counted down.
 
     One evaluator serves a whole asec episode. Per state it caches the h
     value and a support mask: a bitmask over action ids holding the best
@@ -105,9 +106,9 @@ class _HmaxEvaluator:
         self.table = table
         self.lbs = [table.lb(a.id) for a in task.actions]
         self._raised_seen = len(table.raised)
-        self._cache: dict = {}  # state -> (h, support mask)
+        self._cache: dict = {}  # int state -> (h, support mask)
 
-    def __call__(self, state) -> float:
+    def __call__(self, state: int) -> float:
         if len(self.table.raised) > self._raised_seen:
             self._drop_stale()
         entry = self._cache.get(state)
@@ -124,29 +125,28 @@ class _HmaxEvaluator:
         self._raised_seen = len(raised)
         self._cache = {s: e for s, e in self._cache.items() if not e[1] & stale}
 
-    def _evaluate(self, state) -> tuple:
+    def _evaluate(self, state: int) -> tuple:
         """(h, support mask) of a state, computed from scratch."""
-        goal = self.task.goal
-        if goal <= state:
+        compiled = self.task.compiled
+        if state & compiled.goal == compiled.goal:
             return 0.0, 0
-        pre_count, pre, add, by_pre, free, is_goal = self.task.relaxed
+        free, unary, multi, counts, multi_adds, goal_facts, is_goal = compiled.relaxation
         lbs = self.lbs
         cost = [INF] * len(is_goal)
         supporter = [-1] * len(is_goal)
-        for f in state:
+        heap = []  # facts_of is ascending, so this list is a heap as built
+        for f in facts_of(state):
             cost[f] = 0.0
-        heap = [(0.0, f) for f in state]
-        heapq.heapify(heap)
+            heap.append((0.0, f))
         push, pop = heapq.heappush, heapq.heappop
-        for a in free:
+        for a, f in free:
             through = lbs[a]
-            for f in add[a]:
-                if cost[f] > through:
-                    cost[f] = through
-                    supporter[f] = a
-                    push(heap, (through, f))
-        remaining = pre_count.copy()
-        unsettled_goals = len(goal)  # goal facts in the state settle too
+            if cost[f] > through:
+                cost[f] = through
+                supporter[f] = a
+                push(heap, (through, f))
+        remaining = counts.copy()
+        unsettled_goals = len(goal_facts)  # goal facts in the state settle too
         while heap:
             c, fact = pop(heap)
             if c > cost[fact]:
@@ -154,13 +154,20 @@ class _HmaxEvaluator:
             if is_goal[fact]:
                 unsettled_goals -= 1
                 if not unsettled_goals:
-                    return c, _support_mask(goal, supporter, pre)
-            for a in by_pre[fact]:
-                left = remaining[a] - 1
-                remaining[a] = left
+                    return c, _support_mask(goal_facts, supporter, self.task.actions)
+            for a, f in unary[fact]:
+                through = c + lbs[a]
+                if cost[f] > through:
+                    cost[f] = through
+                    supporter[f] = a
+                    push(heap, (through, f))
+            for j in multi[fact]:
+                left = remaining[j] - 1
+                remaining[j] = left
                 if not left:
+                    a, added = multi_adds[j]
                     through = c + lbs[a]
-                    for f in add[a]:
+                    for f in added:
                         if cost[f] > through:
                             cost[f] = through
                             supporter[f] = a
@@ -168,24 +175,27 @@ class _HmaxEvaluator:
         return INF, 0
 
 
-def _support_mask(goal, supporter: list, pre: list) -> int:
+def _support_mask(goal_facts, supporter: list, actions) -> int:
     """Bitmask of the supporter actions reachable back from the goal facts."""
     mask = 0
-    stack = [supporter[f] for f in goal]
+    stack = [supporter[f] for f in goal_facts]
     while stack:
         a = stack.pop()
         if a < 0 or mask >> a & 1:
             continue
         mask |= 1 << a
-        stack.extend(supporter[f] for f in pre[a])
+        for f in actions[a].pre:
+            stack.append(supporter[f])
     return mask
 
 
 def hmax(state, task: PlanningTask, table: CostTable) -> float:
-    return _HmaxEvaluator(task, table)(state)
+    """h_max of a frozenset state under the table's current lower bounds."""
+    return _HmaxEvaluator(task, table)(mask_of(state))
 
 
 def make_heuristic(name: str, task: PlanningTask, table: CostTable):
+    """The episode's heuristic: a callable from an int state to an admissible h."""
     if name == "blind":
         return lambda state: 0.0
     return _HmaxEvaluator(task, table)
@@ -195,42 +205,52 @@ def make_heuristic(name: str, task: PlanningTask, table: CostTable):
 # A* core
 
 def astar_lb(task: PlanningTask, table: CostTable, heuristic) -> tuple:
-    """A* on lower-bound costs; duplicate detection with g reopening.
+    """A* on lower-bound costs over int states; duplicate detection with g reopening.
 
     Returns (plan or None, expansions). FIFO tie-breaking on equal f.
-    Nothing is memoized here: the heuristic is the only cache of h values.
+    Successors come precondition-free actions first, then by the state's
+    facts in ascending id order, each fact's group in action id order (see
+    ``CompiledTask``). Nothing is memoized here: the heuristic is the only
+    cache of h values.
     """
+    compiled = task.compiled
+    goal, groups = compiled.goal, compiled.groups
+    lb = table.lb
+    push, pop = heapq.heappush, heapq.heappop
     counter = itertools.count()
-    best_g = {task.init: 0.0}
-    open_heap = [(heuristic(task.init), next(counter), 0.0, task.init, None)]
+    best_g = {compiled.init: 0.0}
+    open_heap = [(heuristic(compiled.init), next(counter), 0.0, compiled.init, None)]
     expansions = 0
-    # an action is tried only where its smallest precondition is in the state
-    by_first_pre = task.by_first_pre
     while open_heap:
-        f, _, g, state, node = heapq.heappop(open_heap)
-        if g > best_g.get(state, INF):
+        _, _, g, state, node = pop(open_heap)
+        if g > best_g[state]:
             continue  # stale entry
-        if is_goal(state, task):
+        if state & goal == goal:
             plan = []
             while node is not None:
                 action_id, node = node
                 plan.append(action_id)
             return tuple(reversed(plan)), expansions
         expansions += 1
-        for fact in itertools.chain((None,), state):
-            for action in by_first_pre.get(fact, ()):
-                if not action.pre <= state:
+        rest = state
+        group = groups[0]  # precondition-free actions, then one group per state fact
+        while True:
+            for action_id, pre, keep, add in group:
+                if state & pre != pre:
                     continue
-                succ = (state - action.delete) | action.add
-                g2 = g + table.lb(action.id)
+                succ = state & keep | add
+                g2 = g + lb(action_id)
                 if g2 < best_g.get(succ, INF) - TOLERANCE:
                     best_g[succ] = g2
                     h = heuristic(succ)
                     if math.isinf(h):
                         continue
-                    heapq.heappush(
-                        open_heap, (g2 + h, next(counter), g2, succ, (action.id, node))
-                    )
+                    push(open_heap, (g2 + h, next(counter), g2, succ, (action_id, node)))
+            if not rest:
+                break
+            low = rest & -rest  # the state's next fact, ascending
+            rest ^= low
+            group = groups[low.bit_length()]
     return None, expansions
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ModelInconsistencyError, PreconditionError
 from .intervals import CostInterval, accumulate
@@ -37,7 +37,8 @@ class PlanningTask:
     invocation order (empty when the manifest has no entry for it). A
     remote estimator answers in a level's place at invocation time; the
     chain still gives the level count and the declared times that a
-    refinement budget is checked against.
+    refinement budget is checked against. Every fact id in an action
+    indexes ``facts``.
     """
 
     name: str
@@ -54,50 +55,127 @@ class PlanningTask:
         return len(self.actions)
 
     @cached_property
-    def by_pre(self) -> dict:
-        """Fact -> actions with that precondition, in id order; key None: those with none."""
-        index: dict = {None: []}
-        for action in self.actions:
-            for fact in action.pre or (None,):
-                index.setdefault(fact, []).append(action)
-        return index
-
-    @cached_property
-    def relaxed(self) -> tuple:
-        """h_max's flat arrays: (pre_count, pre, add, by_pre, free, is_goal).
-
-        Per action id: precondition count and pre/add fact-id tuples. Per fact
-        id: ids of the actions with that precondition (by_pre order) and a
-        goal flag; free holds the precondition-free action ids. Facts are
-        numbered up to the largest id in init, goal or any action, which may
-        exceed ``len(facts)``.
-        """
-        n_facts = 1 + max([
-            len(self.facts) - 1, *self.init, *self.goal,
-            *(f for a in self.actions for f in a.pre | a.add),
-        ])
-        return (
-            [len(a.pre) for a in self.actions],
-            [tuple(a.pre) for a in self.actions],
-            [tuple(a.add) for a in self.actions],
-            [tuple(a.id for a in self.by_pre.get(f, ())) for f in range(n_facts)],
-            tuple(a.id for a in self.by_pre[None]),
-            [f in self.goal for f in range(n_facts)],
-        )
-
-    @cached_property
-    def by_first_pre(self) -> dict:
-        """As by_pre, but each action only under its smallest precondition."""
-        return {
-            fact: [a for a in actions if fact is None or min(a.pre) == fact]
-            for fact, actions in self.by_pre.items()
-        }
+    def compiled(self) -> "CompiledTask":
+        """The task's int bitset form, built on first use; A* and h_max share it."""
+        return CompiledTask(self)
 
     def true_plan_cost(self, plan) -> float:
         """Sum of hidden true costs along a plan (test/oracle use)."""
         if self.true_costs is None:
             raise KeyError("task has no hidden true costs")
         return sum(self.true_costs[a] for a in plan)
+
+
+class CompiledTask:
+    """A task compiled once into int bitset states: fact f is bit ``1 << f``.
+
+    ``init`` and ``goal`` are masks. ``groups[0]`` holds the
+    precondition-free actions and ``groups[f + 1]`` the actions whose lowest
+    precondition is fact f, each as ``(id, pre, keep, add)`` masks in id
+    order: an action applies where ``state & pre == pre`` and leads to
+    ``state & keep | add``. A* reads the groups of a state's facts in
+    ascending order, so it proposes each applicable action exactly once.
+    The h_max arrays (``relaxation``) are built on first use, as blind
+    search never reads them.
+    """
+
+    def __init__(self, task: PlanningTask):
+        self.actions = task.actions
+        self.init = mask_of(task.init)
+        self.goal = mask_of(task.goal)
+        #: Init and goal may hold fact ids beyond ``task.facts`` (facts no
+        #: action touches) in a hand-built task.
+        self.n_facts = max(len(task.facts), self.init.bit_length(), self.goal.bit_length())
+        self.groups = [[] for _ in range(self.n_facts + 1)]
+        masks = {}  # fact set -> mask
+        known = masks.get
+        for action in task.actions:
+            pre, add, delete = action.pre, action.add, action.delete
+            # mask_of inlined, once per distinct fact set: this loop runs over
+            # every ground action in every episode
+            pre_mask = known(pre)
+            if pre_mask is None:
+                pre_mask = 0
+                for f in pre:
+                    pre_mask |= 1 << f
+                masks[pre] = pre_mask
+            add_mask = known(add)
+            if add_mask is None:
+                add_mask = 0
+                for f in add:
+                    add_mask |= 1 << f
+                masks[add] = add_mask
+            delete_mask = known(delete)
+            if delete_mask is None:
+                delete_mask = 0
+                for f in delete:
+                    delete_mask |= 1 << f
+                masks[delete] = delete_mask
+            self.groups[(pre_mask & -pre_mask).bit_length()].append(
+                (action.id, pre_mask, ~delete_mask, add_mask)
+            )
+
+    @cached_property
+    def relaxation(self) -> "Relaxation":
+        """h_max's arrays, built on first use."""
+        free, counts, multi_adds = [], [], []
+        unary = [[] for _ in range(self.n_facts)]
+        multi = [[] for _ in range(self.n_facts)]
+        for action in self.actions:
+            pre = action.pre
+            if len(pre) > 1:
+                for fact in pre:
+                    multi[fact].append(len(counts))
+                counts.append(len(pre))
+                multi_adds.append((action.id, tuple(action.add)))
+                continue
+            edges = unary[min(pre)] if pre else free
+            for f in action.add:
+                edges.append((action.id, f))
+        goal_facts = facts_of(self.goal)
+        is_goal = [False] * self.n_facts
+        for f in goal_facts:
+            is_goal[f] = True
+        return Relaxation(free, unary, multi, counts, multi_adds, goal_facts, is_goal)
+
+
+class Relaxation(NamedTuple):
+    """h_max's delete-relaxed view of a compiled task, indexed by fact id.
+
+    ``free`` and ``unary[f]`` hold ``(action id, added fact)`` edges of the
+    precondition-free actions and of those whose one precondition is f.
+    Actions with more preconditions are counted: ``multi[f]`` lists indexes
+    into ``counts`` (precondition count) and ``multi_adds`` ((action id,
+    added facts)) of those with precondition f. Every list is in action id
+    order. ``goal_facts`` lists the goal's fact ids and ``is_goal`` flags
+    them.
+    """
+
+    free: list
+    unary: list
+    multi: list
+    counts: list
+    multi_adds: list
+    goal_facts: list
+    is_goal: list
+
+
+def mask_of(facts) -> int:
+    """The int bitset of a collection of fact ids."""
+    mask = 0
+    for f in facts:
+        mask |= 1 << f
+    return mask
+
+
+def facts_of(mask: int) -> list:
+    """The fact ids of an int bitset, ascending."""
+    facts = []
+    while mask:
+        low = mask & -mask
+        facts.append(low.bit_length() - 1)
+        mask ^= low
+    return facts
 
 
 def apply(state: State, action: GroundAction) -> State:

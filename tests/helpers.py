@@ -1,13 +1,16 @@
 """Shared builders for hand-constructed tasks and randomized suites."""
 
+import heapq
+import itertools
+import math
 import random
 
 from costplan.bench import gen_gridworld, gen_logistics, synthetic_manifest_for
 from costplan.estimators import SyntheticConfig
-from costplan.intervals import INF, CostInterval
+from costplan.intervals import INF, TOLERANCE, CostInterval
 from costplan.pddl import ground
 from costplan.manifest import ManifestLevel
-from costplan.task import GroundAction, PlanningTask
+from costplan.task import GroundAction, PlanningTask, facts_of, is_goal
 
 
 def make_task(actions, goal, init=frozenset({0}), true_costs=None, priors=None, name="hand"):
@@ -96,3 +99,52 @@ def reference_hmax(state, task, lbs):
                     cost[f] = through
                     changed = True
     return max((cost.get(f, INF) for f in task.goal), default=0.0)
+
+
+def decode(state):
+    """The frozenset view of an int state, as the search module passes it to a heuristic."""
+    return frozenset(facts_of(state))
+
+
+def reference_astar_lb(task, table, heuristic):
+    """A* on lower-bound costs over frozenset states; the reference for search.astar_lb.
+
+    The heuristic takes frozenset states. Each action is tried under its
+    smallest precondition (None: it has none), precondition-free actions
+    first and then in the state's frozenset iteration order, each fact's
+    actions in id order; FIFO tie-breaking on equal f. Returns (plan or
+    None, expansions).
+    """
+    by_first_pre = {}
+    for action in task.actions:
+        by_first_pre.setdefault(min(action.pre, default=None), []).append(action)
+    counter = itertools.count()
+    best_g = {task.init: 0.0}
+    open_heap = [(heuristic(task.init), next(counter), 0.0, task.init, None)]
+    expansions = 0
+    while open_heap:
+        _, _, g, state, node = heapq.heappop(open_heap)
+        if g > best_g.get(state, INF):
+            continue
+        if is_goal(state, task):
+            plan = []
+            while node is not None:
+                action_id, node = node
+                plan.append(action_id)
+            return tuple(reversed(plan)), expansions
+        expansions += 1
+        for fact in itertools.chain((None,), state):
+            for action in by_first_pre.get(fact, ()):
+                if not action.pre <= state:
+                    continue
+                succ = (state - action.delete) | action.add
+                g2 = g + table.lb(action.id)
+                if g2 < best_g.get(succ, INF) - TOLERANCE:
+                    best_g[succ] = g2
+                    h = heuristic(succ)
+                    if math.isinf(h):
+                        continue
+                    heapq.heappush(
+                        open_heap, (g2 + h, next(counter), g2, succ, (action.id, node))
+                    )
+    return None, expansions

@@ -34,11 +34,12 @@ def sha256(text: str) -> str:
 def check_golden(section: str, digests: dict) -> None:
     with open(GOLDEN, encoding="utf-8") as fh:
         expected = json.load(fh)[section]
-    differing = [key for key in digests if expected.get(key) != digests[key]]
-    differing += [key for key in expected if key not in digests]
-    if differing:
+    moved = sorted(key for key in {*expected, *digests} if expected.get(key) != digests.get(key))
+    if moved:
         print(json.dumps({section: digests}, indent=1, sort_keys=True))
-    assert not differing, f"{len(differing)} {section} digests differ, first: {differing[:5]}"
+    assert not moved, f"{len(moved)} {section} digests differ (old -> new):\n" + "\n".join(
+        f"{key}: {expected.get(key)} -> {digests.get(key)}" for key in moved
+    )
 
 
 def test_acceptance_episodes_match_golden(suite_runs):

@@ -91,6 +91,25 @@ def test_truncated_forms_are_syntax_errors(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize("section, error, message", [
+    ("(:predicates (p ?x - ))", PddlSyntaxError, "dangling '-' in predicate p"),
+    ("(:predicates (p (?x)))", PddlSyntaxError, "expected a symbol in predicate p, got a list"),
+    ("(:action a (:effect) (q))", PddlSyntaxError, "expected a symbol in action a, got a list"),
+    ("(:action a :parameters (?x - ))", PddlSyntaxError, "dangling '-' in action a parameters"),
+    ("(:action a :precondition (and (p) ()))", PddlSyntaxError,
+     "expected an atom in action a precondition"),
+    ("(:action a :precondition (or (p) (q)))", UnsupportedFeatureError,
+     "'or' not allowed as a predicate in action a precondition"),
+    ("(:action a :effect (and (not)))", PddlSyntaxError, "malformed (not ...) in action a effect"),
+    ("(:action a :effect (and (q ())))", PddlSyntaxError,
+     "expected a symbol in action a effect, got a list"),
+])
+def test_schema_errors_name_their_context(section, error, message):
+    with pytest.raises(error) as info:
+        parse_domain(f"(define (domain d) (:requirements :strips :typing) {section})")
+    assert str(info.value) == message
+
+
 def test_undeclared_variable_rejected():
     text = """
     (define (domain x) (:predicates (p ?a - object))

@@ -24,9 +24,18 @@ from costplan.search import (
     make_heuristic,
     oracle_optimal,
 )
-from costplan.task import CostTable
+from costplan.task import CostTable, apply, mask_of
 
-from helpers import acceptance_instance, make_task, reference_hmax, suite_instance
+from conftest import ACCEPTANCE_INSTANCES
+
+from helpers import (
+    acceptance_instance,
+    decode,
+    make_task,
+    reference_astar_lb,
+    reference_hmax,
+    suite_instance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +207,8 @@ def test_persistent_hmax_equals_fresh_after_each_refinement(build):
         for state in touched:
             calls += 1
             lbs = [table.lb(a) for a in range(task.n_actions)]
-            assert evaluator(state) == hmax(state, task, table) == reference_hmax(state, task, lbs)
+            view = decode(state)
+            assert evaluator(state) == hmax(view, task, table) == reference_hmax(view, task, lbs)
         # half the refinements hit the current plan, as asec's do
         pool = list(plan or ()) if rng.random() < 0.5 else range(task.n_actions)
         refinable = [a for a in pool if registry.refinable(a)] or [
@@ -215,7 +225,7 @@ def test_asec_shared_hmax_matches_fresh_per_replan(monkeypatch, eps):
     tasks = [acceptance_instance(i, seed=i) for i in range(6)] + [_grid_5x5(seed=2)]
     shared = [asec(task, SearchConfig(epsilon=eps)) for task in tasks]
     monkeypatch.setattr(
-        search, "make_heuristic", lambda name, task, table: lambda s: hmax(s, task, table)
+        search, "make_heuristic", lambda name, task, table: lambda s: hmax(decode(s), task, table)
     )
     for task, (cert, report) in zip(tasks, shared):
         fresh_cert, fresh_report = asec(task, SearchConfig(epsilon=eps))
@@ -257,7 +267,7 @@ def test_hmax_kernel_equals_value_iteration_reference(monkeypatch, build):
             lbs = tuple(table.lb(a) for a in range(task.n_actions))
             lbs_seen.add(lbs)
             h = heuristic(state)
-            assert h == reference_hmax(state, task, lbs)
+            assert h == reference_hmax(decode(state), task, lbs)
             return h
 
         return check
@@ -269,24 +279,34 @@ def test_hmax_kernel_equals_value_iteration_reference(monkeypatch, build):
 
 
 # ---------------------------------------------------------------------------
-# The per-task action indexes: A* proposes exactly the applicable actions,
-# in the order of the full scan it replaced
+# The compiled task: A* proposes exactly the applicable actions, in ascending
+# fact order, and int successors equal apply on the frozenset view
 
 INDEX_TASKS = [lambda i=i: acceptance_instance(i, seed=i) for i in range(6)] + [
     lambda: suite_instance(5, seed=3),  # logistics: load/unload have two preconditions
     _two_goal_task,  # "spawn" has no precondition
+    _goal_outside_facts,  # init and goal hold a fact beyond task.facts
 ]
 
 
 @pytest.mark.parametrize(
-    "build", INDEX_TASKS, ids=[*(f"acc{i}" for i in range(6)), "suite-logistics-2goal", "two-goal"]
+    "build", INDEX_TASKS,
+    ids=[*(f"acc{i}" for i in range(6)), "suite-logistics-2goal", "two-goal", "goal-outside-facts"],
 )
 def test_action_indexes_propose_exactly_the_applicable_actions(monkeypatch, build):
     task = build()
-    for fact in [None, *range(len(task.facts))]:
-        holders = [a for a in task.actions if (fact in a.pre if fact is not None else not a.pre)]
-        assert task.by_pre.get(fact, []) == holders
-    assert task.by_pre is task.by_pre and task.by_first_pre is task.by_first_pre
+    compiled = task.compiled
+    assert task.compiled is compiled
+    assert (decode(compiled.init), decode(compiled.goal)) == (task.init, task.goal)
+    # group 0: no precondition; group f + 1: lowest precondition f; each in id order
+    rows = [row for group in compiled.groups for row in group]
+    assert sorted(row[0] for row in rows) == list(range(task.n_actions))
+    for index, group in enumerate(compiled.groups):
+        assert [row[0] for row in group] == sorted(row[0] for row in group)
+        for action_id, pre, _, add in group:
+            action = task.actions[action_id]
+            assert index == (min(action.pre) + 1 if action.pre else 0)
+            assert (decode(pre), decode(add)) == (action.pre, action.add)
     touched = set()
 
     def recording(name, task, table):
@@ -295,19 +315,48 @@ def test_action_indexes_propose_exactly_the_applicable_actions(monkeypatch, buil
 
     monkeypatch.setattr(search, "make_heuristic", recording)
     asec(task, SearchConfig(epsilon=1.0))
-    assert task.init in touched
+    assert compiled.init in touched
     for state in touched:
+        view = decode(state)
         proposed = [
-            a for fact in itertools.chain((None,), state)
-            for a in task.by_first_pre.get(fact, ()) if a.pre <= state
+            row for index in [0, *(f + 1 for f in sorted(view))]
+            for row in compiled.groups[index] if state & row[1] == row[1]
         ]
-        scan = [a for a in task.actions if a.pre <= state]
-        assert sorted(proposed, key=lambda a: a.id) == scan
-        # precondition-free actions first, then by state fact, in id order
-        order = [None, *state]
-        assert proposed == sorted(
-            scan, key=lambda a: (order.index(min(a.pre)) if a.pre else 0, a.id)
-        )
+        scan = [a for a in task.actions if a.pre <= view]
+        assert sorted(row[0] for row in proposed) == [a.id for a in scan]
+        # precondition-free actions first, then by ascending state fact, in id order
+        assert [row[0] for row in proposed] == [
+            a.id for a in sorted(scan, key=lambda a: (min(a.pre) + 1 if a.pre else 0, a.id))
+        ]
+        for action_id, _, keep, add in proposed:
+            assert decode(state & keep | add) == apply(view, task.actions[action_id])
+
+
+@pytest.mark.parametrize("heuristic", ["blind", "hmax"])
+def test_astar_matches_frozenset_reference_on_acceptance_instances(heuristic):
+    """Same lb plan cost on all 200 instances as lbs rise from the priors to
+    the final levels; the same plan and expansions on every grid, whose
+    states hold one fact, so successor order cannot differ."""
+    compared = 0
+    for index in range(ACCEPTANCE_INSTANCES):
+        task = acceptance_instance(index, seed=index)
+        registry = EstimatorRegistry(task)
+        table = registry.table
+        for invoke in (None, registry.invoke_next, registry.invoke_final):
+            for action_id in range(task.n_actions if invoke else 0):
+                if registry.refinable(action_id):
+                    invoke(action_id)
+            h = make_heuristic(heuristic, task, table)
+            plan, expansions = astar_lb(task, table, h)
+            ref_plan, ref_expansions = reference_astar_lb(task, table, lambda s: h(mask_of(s)))
+            assert (plan is None) == (ref_plan is None)
+            if plan is not None:
+                cost = table.plan_interval(plan).lb
+                assert cost == pytest.approx(table.plan_interval(ref_plan).lb, abs=TOLERANCE)
+            if index % 2 == 0:  # acceptance_instance's gridworlds
+                assert (plan, expansions) == (ref_plan, ref_expansions)
+            compared += 1
+    assert compared == 3 * ACCEPTANCE_INSTANCES
 
 
 def test_asec_replans_once_per_estimator_call(monkeypatch):
