@@ -123,7 +123,8 @@ class SyntheticConfig:
 
     Level j (1-based) runs for base_time_ms * time_scale**(j-1) and returns
     an interval of width width * decay**(j-1) containing the hidden true
-    cost, positioned pseudo-randomly subject to nesting.
+    cost, positioned pseudo-randomly subject to nesting. The constructor
+    rejects an invalid shape with a ConfigError.
     """
 
     levels: int = 3
@@ -134,16 +135,16 @@ class SyntheticConfig:
     exact_final: bool = True
     cost_range: tuple = (1.0, 10.0)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.levels < 1:
             raise ConfigError("levels must be >= 1")
-        if self.time_scale < 1.0:
+        if not self.time_scale >= 1.0:  # NaN fails these too
             raise ConfigError("time_scale must be >= 1")
         if not (0.0 < self.decay <= 1.0):
             raise ConfigError("decay must be in (0, 1]")
-        if self.width < 0.0:
+        if not self.width >= 0.0:
             raise ConfigError("width must be nonnegative")
-        if self.base_time_ms < 0.0:
+        if not self.base_time_ms >= 0.0:
             raise ConfigError("base_time_ms must be nonnegative")
         lo, hi = self.cost_range
         if not (0.0 <= lo <= hi):
@@ -154,7 +155,6 @@ def generate_synthetic(
     task: PlanningTask, seed: int, config: SyntheticConfig = SyntheticConfig()
 ) -> EstimatorManifest:
     """Deterministically attach synthetic estimator chains to every action."""
-    config.validate()
     rng = random.Random(seed)
     lo, hi = config.cost_range
     entries = []

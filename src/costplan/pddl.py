@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import GroundingError, PddlSyntaxError, UnsupportedFeatureError
 from .manifest import EstimatorManifest
-from .task import GroundAction, PlanningTask
+from .task import GroundAction, PlanningTask, mask_of
 
 SUPPORTED_REQUIREMENTS = {":strips", ":typing"}
 ROOT_TYPE = "object"
@@ -131,16 +131,6 @@ class ProblemAst:
 # ---------------------------------------------------------------------------
 # Parsing helpers
 
-def _in_context(parse, expr, template: str, name: str):
-    """``parse(expr, context)``, where the context ``template.format(name)`` is
-    built only when parsing fails: the parse is re-run with it to raise."""
-    try:
-        return parse(expr, template)
-    except (PddlSyntaxError, UnsupportedFeatureError):
-        pass
-    return parse(expr, template.format(name))
-
-
 def _parse_typed_list(items, context: str):
     """Parse 'a b - t c - u d' into ((a,t),(b,t),(c,u),(d,object))."""
     out = []
@@ -240,7 +230,7 @@ def parse_domain(text: str) -> DomainAst:
                 if not isinstance(pred, list) or not pred:
                     raise PddlSyntaxError("malformed predicate schema")
                 pname = _word(pred[0], ":predicates")
-                params = _in_context(_parse_typed_list, pred[1:], "predicate {}", pname)
+                params = _parse_typed_list(pred[1:], f"predicate {pname}")
                 predicates.append(PredicateSchema(pname, params))
         elif key == ":action":
             actions.append(_parse_action(section))
@@ -268,18 +258,18 @@ def _parse_action(section) -> ActionSchema:
     add, delete = (), ()
     i = 2
     while i < len(section):
-        key = _in_context(_word, section[i], "action {}", name)
+        key = _word(section[i], f"action {name}")
         if i + 1 >= len(section):
             raise PddlSyntaxError(f"action {name}: {key} missing a value")
         value = section[i + 1]
         if key == ":parameters":
             if not isinstance(value, list):
                 raise PddlSyntaxError(f"action {name}: :parameters must be a list")
-            params = _in_context(_parse_typed_list, value, "action {} parameters", name)
+            params = _parse_typed_list(value, f"action {name} parameters")
         elif key == ":precondition":
-            pre = _in_context(_parse_conjunction, value, "action {} precondition", name)
+            pre = _parse_conjunction(value, f"action {name} precondition")
         elif key == ":effect":
-            add, delete = _in_context(_parse_effect, value, "action {} effect", name)
+            add, delete = _parse_effect(value, f"action {name} effect")
         else:
             raise UnsupportedFeatureError(f"action {name}: {key} is not supported")
         i += 2
@@ -381,9 +371,10 @@ def ground(
     atoms meet would add and delete the same fact, which is
     self-contradictory under STRIPS, so it is skipped (e.g. moving from a
     location to itself). Fact ids are numbered in order of first use: init,
-    goal, then each action's pre, add and delete atoms. An action's prior
-    is its manifest entry's prior or else the manifest default; its chain is
-    the entry's own levels, empty when it has no entry.
+    goal, then each action's pre, add and delete atoms; fact sets are int
+    bitsets over them. An action's prior is its manifest entry's prior or
+    else the manifest default; its chain is the entry's own levels, empty
+    when it has no entry.
     """
     if problem.domain != domain.name:
         raise GroundingError(
@@ -412,8 +403,8 @@ def ground(
     def fact_id(key: str) -> int:
         return fact_ids.setdefault(key, len(fact_ids))
 
-    init = frozenset(fact_id(_fact_name(a, {})) for a in problem.init)
-    goal = frozenset(fact_id(_fact_name(a, {})) for a in problem.goal)
+    init = mask_of(fact_id(_fact_name(a, {})) for a in problem.init)
+    goal = mask_of(fact_id(_fact_name(a, {})) for a in problem.goal)
 
     actions = []
     for schema in domain.actions:
@@ -429,9 +420,9 @@ def ground(
             actions.append(GroundAction(
                 id=len(actions),
                 name=" ".join((schema.name, *(binding[v] for v in variables))),
-                pre=frozenset(map(fact_id, pre)),
-                add=frozenset(map(fact_id, add)),
-                delete=frozenset(map(fact_id, delete)),
+                pre=mask_of(map(fact_id, pre)),
+                add=mask_of(map(fact_id, add)),
+                delete=mask_of(map(fact_id, delete)),
             ))
 
     entries = manifest.by_action()

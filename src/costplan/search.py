@@ -26,7 +26,7 @@ from .errors import (
 from .estimators import EstimatorRegistry
 from .intervals import INF, TOLERANCE, CostInterval
 from .metrics import MetricsReport
-from .task import CostTable, PlanningTask, facts_of, is_goal, mask_of
+from .task import CostTable, PlanningTask, facts_of
 
 log = logging.getLogger("costplan.search")
 
@@ -82,7 +82,7 @@ class _HmaxEvaluator:
 
     Generalized Dijkstra over facts: an action fires when its last
     precondition is settled, at the max of its precondition costs. It runs
-    over ``task.compiled.relaxation``: a one-precondition action is an edge
+    over ``task.relaxation``: a one-precondition action is an edge
     that fires when its fact settles, and only actions with more
     preconditions are counted down.
 
@@ -127,10 +127,10 @@ class _HmaxEvaluator:
 
     def _evaluate(self, state: int) -> tuple:
         """(h, support mask) of a state, computed from scratch."""
-        compiled = self.task.compiled
-        if state & compiled.goal == compiled.goal:
+        goal = self.task.goal
+        if state & goal == goal:
             return 0.0, 0
-        free, unary, multi, counts, multi_adds, goal_facts, is_goal = compiled.relaxation
+        free, unary, multi, counts, multi_adds, pres, goal_facts, is_goal = self.task.relaxation
         lbs = self.lbs
         cost = [INF] * len(is_goal)
         supporter = [-1] * len(is_goal)
@@ -154,7 +154,7 @@ class _HmaxEvaluator:
             if is_goal[fact]:
                 unsettled_goals -= 1
                 if not unsettled_goals:
-                    return c, _support_mask(goal_facts, supporter, self.task.actions)
+                    return c, _support_mask(goal_facts, supporter, pres)
             for a, f in unary[fact]:
                 through = c + lbs[a]
                 if cost[f] > through:
@@ -175,7 +175,7 @@ class _HmaxEvaluator:
         return INF, 0
 
 
-def _support_mask(goal_facts, supporter: list, actions) -> int:
+def _support_mask(goal_facts, supporter: list, pres: list) -> int:
     """Bitmask of the supporter actions reachable back from the goal facts."""
     mask = 0
     stack = [supporter[f] for f in goal_facts]
@@ -184,14 +184,14 @@ def _support_mask(goal_facts, supporter: list, actions) -> int:
         if a < 0 or mask >> a & 1:
             continue
         mask |= 1 << a
-        for f in actions[a].pre:
+        for f in pres[a]:
             stack.append(supporter[f])
     return mask
 
 
-def hmax(state, task: PlanningTask, table: CostTable) -> float:
-    """h_max of a frozenset state under the table's current lower bounds."""
-    return _HmaxEvaluator(task, table)(mask_of(state))
+def hmax(state: int, task: PlanningTask, table: CostTable) -> float:
+    """h_max of a state under the table's current lower bounds."""
+    return _HmaxEvaluator(task, table)(state)
 
 
 def make_heuristic(name: str, task: PlanningTask, table: CostTable):
@@ -210,16 +210,15 @@ def astar_lb(task: PlanningTask, table: CostTable, heuristic) -> tuple:
     Returns (plan or None, expansions). FIFO tie-breaking on equal f.
     Successors come precondition-free actions first, then by the state's
     facts in ascending id order, each fact's group in action id order (see
-    ``CompiledTask``). Nothing is memoized here: the heuristic is the only
-    cache of h values.
+    ``PlanningTask.groups``). Nothing is memoized here: the heuristic is the
+    only cache of h values.
     """
-    compiled = task.compiled
-    goal, groups = compiled.goal, compiled.groups
+    init, goal, groups = task.init, task.goal, task.groups
     lb = table.lb
     push, pop = heapq.heappush, heapq.heappop
     counter = itertools.count()
-    best_g = {compiled.init: 0.0}
-    open_heap = [(heuristic(compiled.init), next(counter), 0.0, compiled.init, None)]
+    best_g = {init: 0.0}
+    open_heap = [(heuristic(init), next(counter), 0.0, init, None)]
     expansions = 0
     while open_heap:
         _, _, g, state, node = pop(open_heap)
@@ -410,8 +409,17 @@ MODES = {"asec": asec, "offline": astar_offline}
 # Test oracle: exact optimum over hidden true costs
 
 def oracle_optimal(task: PlanningTask, state_bound: int = 10**6) -> float:
-    """Uniform-cost search over hidden true costs; +inf when unreachable."""
+    """Uniform-cost search over hidden true costs; +inf when unreachable.
+
+    An independent full scan of the actions per state, on frozenset states;
+    each distinct fact set of the task is decoded once per call.
+    """
     costs = task.true_costs or {}
+    views = dict.fromkeys(m for a in task.actions for m in (a.pre, a.delete, a.add))
+    for mask in (*views, task.init, task.goal):
+        views[mask] = frozenset(facts_of(mask))
+    actions = [(a.id, views[a.pre], views[a.delete], views[a.add]) for a in task.actions]
+    init, goal = views[task.init], views[task.goal]
 
     def true_cost(action_id: int) -> float:
         try:
@@ -422,25 +430,25 @@ def oracle_optimal(task: PlanningTask, state_bound: int = 10**6) -> float:
             ) from None
 
     counter = itertools.count()
-    best_g = {task.init: 0.0}
-    heap = [(0.0, next(counter), task.init)]
+    best_g = {init: 0.0}
+    heap = [(0.0, next(counter), init)]
     settled = 0
     while heap:
         g, _, state = heapq.heappop(heap)
         if g > best_g.get(state, INF):
             continue
-        if is_goal(state, task):
+        if goal <= state:
             return g
         settled += 1
         if settled > state_bound:
             raise OracleBoundExceededError(
                 f"oracle exceeded {state_bound} settled states on {task.name}"
             )
-        for action in task.actions:
-            if not action.pre <= state:
+        for action_id, pre, delete, add in actions:
+            if not pre <= state:
                 continue
-            succ = (state - action.delete) | action.add
-            g2 = g + true_cost(action.id)
+            succ = (state - delete) | add
+            g2 = g + true_cost(action_id)
             if g2 < best_g.get(succ, INF) - TOLERANCE:
                 best_g[succ] = g2
                 heapq.heappush(heap, (g2, next(counter), succ))

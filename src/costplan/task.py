@@ -12,16 +12,17 @@ from .intervals import CostInterval, accumulate
 
 log = logging.getLogger("costplan.task")
 
-State = frozenset  # of fact ids
-
 
 @dataclass(frozen=True)
 class GroundAction:
+    """A ground STRIPS action; ``pre``, ``add`` and ``delete`` are int bitsets
+    over fact ids (fact f is bit ``1 << f``; ``facts_of``/``mask_of`` convert)."""
+
     id: int
     name: str
-    pre: frozenset
-    add: frozenset
-    delete: frozenset
+    pre: int
+    add: int
+    delete: int
 
     def __post_init__(self):
         if self.add & self.delete:
@@ -32,6 +33,7 @@ class GroundAction:
 class PlanningTask:
     """A grounded task and its cost model, indexed by fact and action id.
 
+    States, ``init``, ``goal`` and each action's fact sets are int bitsets.
     ``priors`` holds each action's starting interval and ``chains`` its
     estimator levels, the manifest's own ManifestLevel records in
     invocation order (empty when the manifest has no entry for it). A
@@ -43,8 +45,8 @@ class PlanningTask:
 
     name: str
     facts: tuple  # of fact names
-    init: State
-    goal: frozenset
+    init: int
+    goal: int
     actions: tuple  # of GroundAction
     priors: tuple  # of CostInterval
     chains: tuple  # of tuples of ManifestLevel
@@ -55,9 +57,47 @@ class PlanningTask:
         return len(self.actions)
 
     @cached_property
-    def compiled(self) -> "CompiledTask":
-        """The task's int bitset form, built on first use; A* and h_max share it."""
-        return CompiledTask(self)
+    def n_facts(self) -> int:
+        """Fact id bound; init and goal may hold facts no action touches in a
+        hand-built task, beyond ``facts``."""
+        return max(len(self.facts), self.init.bit_length(), self.goal.bit_length())
+
+    @cached_property
+    def groups(self) -> list:
+        """A*'s action index: ``groups[0]`` holds the precondition-free actions
+        and ``groups[f + 1]`` the actions whose lowest precondition is fact f,
+        each as ``(id, pre, keep, add)`` in id order. An action applies where
+        ``state & pre == pre`` and leads to ``state & keep | add``; reading the
+        groups of a state's facts in ascending order proposes each applicable
+        action exactly once."""
+        groups = [[] for _ in range(self.n_facts + 1)]
+        for action in self.actions:
+            pre = action.pre
+            groups[(pre & -pre).bit_length()].append((action.id, pre, ~action.delete, action.add))
+        return groups
+
+    @cached_property
+    def relaxation(self) -> "Relaxation":
+        """h_max's arrays, built on first use, as blind search never reads them."""
+        free, counts, multi_adds = [], [], []
+        unary = [[] for _ in range(self.n_facts)]
+        multi = [[] for _ in range(self.n_facts)]
+        pres = [facts_of(action.pre) for action in self.actions]
+        for action, pre in zip(self.actions, pres):
+            if len(pre) > 1:
+                for fact in pre:
+                    multi[fact].append(len(counts))
+                counts.append(len(pre))
+                multi_adds.append((action.id, facts_of(action.add)))
+                continue
+            edges = unary[pre[0]] if pre else free
+            for f in facts_of(action.add):
+                edges.append((action.id, f))
+        goal_facts = facts_of(self.goal)
+        is_goal = [False] * self.n_facts
+        for f in goal_facts:
+            is_goal[f] = True
+        return Relaxation(free, unary, multi, counts, multi_adds, pres, goal_facts, is_goal)
 
     def true_plan_cost(self, plan) -> float:
         """Sum of hidden true costs along a plan (test/oracle use)."""
@@ -66,89 +106,16 @@ class PlanningTask:
         return sum(self.true_costs[a] for a in plan)
 
 
-class CompiledTask:
-    """A task compiled once into int bitset states: fact f is bit ``1 << f``.
-
-    ``init`` and ``goal`` are masks. ``groups[0]`` holds the
-    precondition-free actions and ``groups[f + 1]`` the actions whose lowest
-    precondition is fact f, each as ``(id, pre, keep, add)`` masks in id
-    order: an action applies where ``state & pre == pre`` and leads to
-    ``state & keep | add``. A* reads the groups of a state's facts in
-    ascending order, so it proposes each applicable action exactly once.
-    The h_max arrays (``relaxation``) are built on first use, as blind
-    search never reads them.
-    """
-
-    def __init__(self, task: PlanningTask):
-        self.actions = task.actions
-        self.init = mask_of(task.init)
-        self.goal = mask_of(task.goal)
-        #: Init and goal may hold fact ids beyond ``task.facts`` (facts no
-        #: action touches) in a hand-built task.
-        self.n_facts = max(len(task.facts), self.init.bit_length(), self.goal.bit_length())
-        self.groups = [[] for _ in range(self.n_facts + 1)]
-        masks = {}  # fact set -> mask
-        known = masks.get
-        for action in task.actions:
-            pre, add, delete = action.pre, action.add, action.delete
-            # mask_of inlined, once per distinct fact set: this loop runs over
-            # every ground action in every episode
-            pre_mask = known(pre)
-            if pre_mask is None:
-                pre_mask = 0
-                for f in pre:
-                    pre_mask |= 1 << f
-                masks[pre] = pre_mask
-            add_mask = known(add)
-            if add_mask is None:
-                add_mask = 0
-                for f in add:
-                    add_mask |= 1 << f
-                masks[add] = add_mask
-            delete_mask = known(delete)
-            if delete_mask is None:
-                delete_mask = 0
-                for f in delete:
-                    delete_mask |= 1 << f
-                masks[delete] = delete_mask
-            self.groups[(pre_mask & -pre_mask).bit_length()].append(
-                (action.id, pre_mask, ~delete_mask, add_mask)
-            )
-
-    @cached_property
-    def relaxation(self) -> "Relaxation":
-        """h_max's arrays, built on first use."""
-        free, counts, multi_adds = [], [], []
-        unary = [[] for _ in range(self.n_facts)]
-        multi = [[] for _ in range(self.n_facts)]
-        for action in self.actions:
-            pre = action.pre
-            if len(pre) > 1:
-                for fact in pre:
-                    multi[fact].append(len(counts))
-                counts.append(len(pre))
-                multi_adds.append((action.id, tuple(action.add)))
-                continue
-            edges = unary[min(pre)] if pre else free
-            for f in action.add:
-                edges.append((action.id, f))
-        goal_facts = facts_of(self.goal)
-        is_goal = [False] * self.n_facts
-        for f in goal_facts:
-            is_goal[f] = True
-        return Relaxation(free, unary, multi, counts, multi_adds, goal_facts, is_goal)
-
-
 class Relaxation(NamedTuple):
-    """h_max's delete-relaxed view of a compiled task, indexed by fact id.
+    """h_max's delete-relaxed view of a task, indexed by fact id.
 
     ``free`` and ``unary[f]`` hold ``(action id, added fact)`` edges of the
     precondition-free actions and of those whose one precondition is f.
     Actions with more preconditions are counted: ``multi[f]`` lists indexes
     into ``counts`` (precondition count) and ``multi_adds`` ((action id,
     added facts)) of those with precondition f. Every list is in action id
-    order. ``goal_facts`` lists the goal's fact ids and ``is_goal`` flags
-    them.
+    order. ``pres[a]`` lists action a's preconditions, ``goal_facts`` the
+    goal's fact ids, and ``is_goal`` flags them.
     """
 
     free: list
@@ -156,6 +123,7 @@ class Relaxation(NamedTuple):
     multi: list
     counts: list
     multi_adds: list
+    pres: list
     goal_facts: list
     is_goal: list
 
@@ -178,18 +146,18 @@ def facts_of(mask: int) -> list:
     return facts
 
 
-def apply(state: State, action: GroundAction) -> State:
+def apply(state: int, action: GroundAction) -> int:
     """STRIPS successor: (state \\ del) | add. Requires pre <= state."""
-    if not action.pre <= state:
-        missing = sorted(action.pre - state)
+    if state & action.pre != action.pre:
+        missing = facts_of(action.pre & ~state)
         raise PreconditionError(
             f"action {action.name} inapplicable: missing facts {missing}"
         )
-    return (state - action.delete) | action.add
+    return state & ~action.delete | action.add
 
 
-def is_goal(state: State, task: PlanningTask) -> bool:
-    return task.goal <= state
+def is_goal(state: int, task: PlanningTask) -> bool:
+    return state & task.goal == task.goal
 
 
 class CostTable:

@@ -10,13 +10,14 @@ from costplan.estimators import SyntheticConfig
 from costplan.intervals import INF, TOLERANCE, CostInterval
 from costplan.pddl import ground
 from costplan.manifest import ManifestLevel
-from costplan.task import GroundAction, PlanningTask, facts_of, is_goal
+from costplan.task import GroundAction, PlanningTask, facts_of, mask_of
 
 
 def make_task(actions, goal, init=frozenset({0}), true_costs=None, priors=None, name="hand"):
     """Build a task from (name, pre, add, delete, chain_levels) tuples.
 
-    chain_levels: list of (time_ms, (lb, ub)); facts are bare integers.
+    chain_levels: list of (time_ms, (lb, ub)); facts are bare integers, sets
+    of them become the task's int bitsets.
     priors: optional {action index: (lb, ub)} overriding the [0, inf) default.
     """
     ground_actions = []
@@ -28,9 +29,9 @@ def make_task(actions, goal, init=frozenset({0}), true_costs=None, priors=None, 
             GroundAction(
                 id=i,
                 name=aname,
-                pre=frozenset(pre),
-                add=frozenset(add),
-                delete=frozenset(delete),
+                pre=mask_of(pre),
+                add=mask_of(add),
+                delete=mask_of(delete),
             )
         )
         chains.append(tuple(ManifestLevel(t, CostInterval(*iv)) for t, iv in levels))
@@ -38,8 +39,8 @@ def make_task(actions, goal, init=frozenset({0}), true_costs=None, priors=None, 
     return PlanningTask(
         name=name,
         facts=tuple(f"f{i}" for i in range(max_fact + 1)),
-        init=frozenset(init),
-        goal=frozenset(goal),
+        init=mask_of(init),
+        goal=mask_of(goal),
         actions=tuple(ground_actions),
         priors=tuple(CostInterval(*priors.get(i, (0.0, INF))) for i in range(len(actions))),
         chains=tuple(chains),
@@ -80,7 +81,8 @@ def acceptance_instance(index, seed):
 
 
 def reference_hmax(state, task, lbs):
-    """h_max by value iteration, independent of the search module's kernel.
+    """h_max of a frozenset state by value iteration, independent of the
+    search module's kernel.
 
     Repeats cost(f) = min over actions adding f of (max of cost(pre) + lb)
     from cost 0 on the state's facts until nothing changes, which reaches the
@@ -91,19 +93,20 @@ def reference_hmax(state, task, lbs):
     while changed:
         changed = False
         for action in task.actions:
-            if not all(f in cost for f in action.pre):
+            pre = decode(action.pre)
+            if not all(f in cost for f in pre):
                 continue
-            through = max((cost[f] for f in action.pre), default=0.0) + lbs[action.id]
-            for f in action.add:
+            through = max((cost[f] for f in pre), default=0.0) + lbs[action.id]
+            for f in decode(action.add):
                 if through < cost.get(f, INF):
                     cost[f] = through
                     changed = True
-    return max((cost.get(f, INF) for f in task.goal), default=0.0)
+    return max((cost.get(f, INF) for f in decode(task.goal)), default=0.0)
 
 
-def decode(state):
-    """The frozenset view of an int state, as the search module passes it to a heuristic."""
-    return frozenset(facts_of(state))
+def decode(mask):
+    """The frozenset view of an int bitset: a state or one of the task's fact sets."""
+    return frozenset(facts_of(mask))
 
 
 def reference_astar_lb(task, table, heuristic):
@@ -117,16 +120,18 @@ def reference_astar_lb(task, table, heuristic):
     """
     by_first_pre = {}
     for action in task.actions:
-        by_first_pre.setdefault(min(action.pre, default=None), []).append(action)
+        view = (action.id, decode(action.pre), decode(action.delete), decode(action.add))
+        by_first_pre.setdefault(min(view[1], default=None), []).append(view)
+    init, goal = decode(task.init), decode(task.goal)
     counter = itertools.count()
-    best_g = {task.init: 0.0}
-    open_heap = [(heuristic(task.init), next(counter), 0.0, task.init, None)]
+    best_g = {init: 0.0}
+    open_heap = [(heuristic(init), next(counter), 0.0, init, None)]
     expansions = 0
     while open_heap:
         _, _, g, state, node = heapq.heappop(open_heap)
         if g > best_g.get(state, INF):
             continue
-        if is_goal(state, task):
+        if goal <= state:
             plan = []
             while node is not None:
                 action_id, node = node
@@ -134,17 +139,17 @@ def reference_astar_lb(task, table, heuristic):
             return tuple(reversed(plan)), expansions
         expansions += 1
         for fact in itertools.chain((None,), state):
-            for action in by_first_pre.get(fact, ()):
-                if not action.pre <= state:
+            for action_id, pre, delete, add in by_first_pre.get(fact, ()):
+                if not pre <= state:
                     continue
-                succ = (state - action.delete) | action.add
-                g2 = g + table.lb(action.id)
+                succ = (state - delete) | add
+                g2 = g + table.lb(action_id)
                 if g2 < best_g.get(succ, INF) - TOLERANCE:
                     best_g[succ] = g2
                     h = heuristic(succ)
                     if math.isinf(h):
                         continue
                     heapq.heappush(
-                        open_heap, (g2 + h, next(counter), g2, succ, (action.id, node))
+                        open_heap, (g2 + h, next(counter), g2, succ, (action_id, node))
                     )
     return None, expansions

@@ -20,6 +20,7 @@ from costplan.errors import ConfigError
 from costplan.estimators import SyntheticConfig
 from costplan.pddl import ground, parse_domain, parse_problem, print_domain, print_problem
 from costplan.search import oracle_optimal
+from costplan.task import is_goal
 
 
 def grounded(domain, problem):
@@ -36,7 +37,7 @@ def test_gridworld_3x3_counts():
 def test_gridworld_1x1_trivial():
     domain, problem = gen_gridworld(1, 1, corner_to_corner=True)
     task = grounded(domain, problem)
-    assert task.goal <= task.init
+    assert is_goal(task.init, task)
     manifest = synthetic_manifest_for(domain, problem, 0, SyntheticConfig())
     solvable = ground(domain, problem, manifest)
     assert oracle_optimal(solvable) == 0.0
@@ -196,6 +197,9 @@ def test_suite_validation():
     for key in ("seeds", "epsilons", "modes"):
         with pytest.raises(ConfigError, match=f"entry 0: {key} must be a list"):
             _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", key: 5})
+    for key in ("epsilons", "modes"):
+        with pytest.raises(ConfigError, match=f"entry 0: {key} must not be empty"):
+            _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", key: []})
     with pytest.raises(ConfigError, match="entry 0: synthetic must be an object"):
         _entry_from_json(0, {"domain": "d", "problem": "p", "synthetic": 5})
 
@@ -208,7 +212,8 @@ def test_bench_suite_errors_exit_2(capsys, tmp_path):
         {"synthetic": {"levles": 2}}, {"synthetic": {}, "heuristic": "hmx"},
         {"synthetic": {}, "modes": [["asec"]]}, {"synthetic": {}, "seeds": 5},
         {"synthetic": 5}, {"synthetic": {}, "epsilons": 1.5}, {"synthetic": {}, "epsilons": ["x"]},
-        {"synthetic": {}, "epsilons": [math.nan]},
+        {"synthetic": {}, "epsilons": [math.nan]}, {"synthetic": {}, "epsilons": []},
+        {"synthetic": {}, "modes": []}, {"synthetic": {"base_time_ms": math.nan}},
     )
     cases = [({"entries": [{"generate": grid, **bad}]}, "suite entry 0: ") for bad in bad_entries]
     cases += [({"entries": [5]}, "suite entry 0: "), ([], "suite: "), ({"entries": {}}, "suite: ")]
@@ -267,6 +272,20 @@ def test_generate_errors_become_error_rows(tmp_path):
     assert by_instance["typo"].startswith("generate-error: gridworld:")
     assert by_instance["small"].startswith("generate-error: grid sizes")
     assert by_instance["ok#s0"] == "ok"
+
+
+def test_ground_errors_become_error_rows(tmp_path, drive_paths):
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"actions": [{"action": "fly a b", "estimators": []}]}')
+    suite = load_suite(write_suite(tmp_path, [{
+        "name": "drive", "domain": drive_paths["domain"], "problem": drive_paths["problem"],
+        "manifest": str(manifest), "seeds": [0, 1],
+    }]))
+    csv_path, _ = run_suite(suite, tmp_path / "out")
+    status = "ground-error: manifest entry 'fly a b' names no ground action"
+    assert [(r["instance"], r["verdict"], r["status"]) for r in read_rows(csv_path)] == [
+        ("drive#s0", "error", status), ("drive#s1", "error", status),
+    ]
 
 
 def test_unexpected_run_exception_becomes_one_error_row(caplog, capsys, monkeypatch, tmp_path):

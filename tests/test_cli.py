@@ -145,6 +145,34 @@ def test_compare_prints_deltas(capsys, drive_paths):
     assert "dynamic preferable:" in out
 
 
+def test_compare_out_writes_both_runs_and_the_comparison(capsys, drive_paths, tmp_path):
+    out_prefix = tmp_path / "cmp"
+    code, out, _ = run(capsys, "compare", *plan_args(
+        drive_paths, "--epsilon", "1.2", "--out", str(out_prefix))[1:])
+    assert code == 0
+    with open(f"{out_prefix}.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["mode"], r["verdict"]) for r in rows] == [
+        ("asec", "certified"), ("offline", "certified"),
+    ]
+    comparison = json.loads(Path(f"{out_prefix}.json").read_text())["comparisons"]["comparison"]
+    assert f"dynamic preferable: {comparison['dynamic_preferable']}" in out
+    assert f"delta_modeling_ms: {comparison['delta_modeling_ms']:.6g}" in out
+
+
+def test_plan_without_a_plan_exits_1(capsys, drive_paths, tmp_path):
+    # drive deletes (at ?from), so no state holds both locations
+    problem = tmp_path / "p.pddl"
+    problem.write_text("(define (problem both) (:domain drive) (:objects a b - loc)"
+                       " (:init (at a)) (:goal (and (at a) (at b))))")
+    code, out, _ = run(capsys, "plan", "--domain", drive_paths["domain"],
+                       "--problem", str(problem), "--manifest", drive_paths["manifest"])
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "no plan found", "cost bound: [inf, inf]  (epsilon=1)", "verdict: no-plan",
+    ]
+
+
 def test_machine_outputs_byte_identical(capsys, drive_paths, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run(capsys, *plan_args(drive_paths, "--epsilon", "1.2", "--out", str(a)))

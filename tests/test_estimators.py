@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -60,6 +61,12 @@ class TestRegistry:
         assert reg.total_charged_ms() == 101.0
         assert len(reg.ledger) == 2
 
+    def test_final_on_prior_only_chain_charges_nothing(self):
+        reg = EstimatorRegistry(make_task([("a", {0}, {1}, set(), [])], goal={1}))
+        assert reg.invoke_final(0) is None
+        assert (reg.ledger, reg.table.interval(0)) == ([], CostInterval(0.0, INF))
+        assert not reg.refinable(0)
+
 
 def slow_level_task():
     return make_task([("a", {0}, {1}, set(), [(5000.0, (3.0, 3.0))])], goal={1})
@@ -118,15 +125,18 @@ def test_width_schedule():
 
 def test_invalid_configs_rejected():
     for bad in [
-        SyntheticConfig(levels=0),
-        SyntheticConfig(decay=1.5),
-        SyntheticConfig(decay=0.0),
-        SyntheticConfig(time_scale=0.5),
-        SyntheticConfig(width=-1.0),
-        SyntheticConfig(cost_range=(5.0, 2.0)),
+        dict(levels=0),
+        dict(decay=1.5),
+        dict(decay=0.0),
+        dict(time_scale=0.5),
+        dict(width=-1.0),
+        dict(cost_range=(5.0, 2.0)),
+        dict(time_scale=math.nan),
+        dict(width=math.nan),
+        dict(base_time_ms=math.nan),
     ]:
         with pytest.raises(ConfigError):
-            bad.validate()
+            SyntheticConfig(**bad)
 
 
 @settings(max_examples=100, deadline=None)

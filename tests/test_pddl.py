@@ -23,6 +23,8 @@ from costplan.pddl import (
     print_problem,
 )
 
+from helpers import decode
+
 EMPTY = EstimatorManifest(default_prior=CostInterval(0.0, INF), entries=())
 
 MINIMAL = """
@@ -50,6 +52,8 @@ def test_unsupported_requirement_rejected():
 def test_unsupported_section_rejected():
     with pytest.raises(UnsupportedFeatureError, match=":functions"):
         parse_domain("(define (domain x) (:functions (cost)))")
+    with pytest.raises(UnsupportedFeatureError, match="problem section :metric is not supported"):
+        parse_problem("(define (problem p) (:domain x) (:metric minimize (total-cost)))")
 
 
 def test_syntax_error_carries_location():
@@ -85,6 +89,11 @@ def test_syntax_error_carries_location():
     (parse_problem, "(define (problem))"),
     (parse_domain, "(define (domain d) (:action))"),
     (parse_problem, "(define (problem p) (:domain))"),
+    (parse_domain, ""),  # unexpected end of input
+    (parse_problem, "; (define"),
+    (parse_problem, "(define (problem p) ())"),  # malformed problem section
+    (parse_problem, "(define (problem p) (:domain d) (:goal))"),  # one goal formula
+    (parse_problem, "(define (problem p))"),  # missing (:domain ...)
 ])
 def test_truncated_forms_are_syntax_errors(parse, text):
     with pytest.raises(PddlSyntaxError):
@@ -103,6 +112,11 @@ def test_truncated_forms_are_syntax_errors(parse, text):
     ("(:action a :effect (and (not)))", PddlSyntaxError, "malformed (not ...) in action a effect"),
     ("(:action a :effect (and (q ())))", PddlSyntaxError,
      "expected a symbol in action a effect, got a list"),
+    ("()", PddlSyntaxError, "malformed domain section"),
+    ("(:predicates ())", PddlSyntaxError, "malformed predicate schema"),
+    ("(:action a :parameters)", PddlSyntaxError, "action a: :parameters missing a value"),
+    ("(:action a :parameters ?x)", PddlSyntaxError, "action a: :parameters must be a list"),
+    ("(:action a :cost (1))", UnsupportedFeatureError, "action a: :cost is not supported"),
 ])
 def test_schema_errors_name_their_context(section, error, message):
     with pytest.raises(error) as info:
@@ -192,6 +206,17 @@ def test_undefined_type_rejected():
     problem = ProblemAst(name="bad", domain="x", objects=(("o", "nosuch"),), init=(), goal=())
     with pytest.raises(GroundingError, match="nosuch"):
         ground(domain, problem, EMPTY)
+    domain = parse_domain("(define (domain x) (:predicates (p ?a - nosuch)))")
+    problem = ProblemAst(name="empty", domain="x", objects=(), init=(), goal=())
+    with pytest.raises(GroundingError, match="^undefined type nosuch$"):
+        ground(domain, problem, EMPTY)
+
+
+def test_problem_for_another_domain_rejected():
+    domain = parse_domain("(define (domain x) (:predicates (p)))")
+    problem = ProblemAst(name="other", domain="y", objects=(), init=(), goal=())
+    with pytest.raises(GroundingError, match="problem references domain 'y', parsed 'x'"):
+        ground(domain, problem, EMPTY)
 
 
 def test_manifest_entry_for_unknown_action_rejected(drive_paths):
@@ -256,8 +281,8 @@ def test_grounding_pins_fact_and_action_order():
         "at c1 p1", "at v1 p2", "free x", "at c1 p2", "tagged v1",
         "at v1 p1", "tagged c1", "untagged c1", "untagged v1",
     )
-    assert (task.init, task.goal) == ({0, 1, 2}, {3, 4})
-    assert [(a.id, a.name, a.pre, a.add, a.delete) for a in task.actions] == [
+    assert (decode(task.init), decode(task.goal)) == ({0, 1, 2}, {3, 4})
+    assert [(a.id, a.name, *map(decode, (a.pre, a.add, a.delete))) for a in task.actions] == [
         (0, "move c1 p1 p2", {0}, {3}, {0}),
         (1, "move c1 p2 p1", {3}, {0}, {3}),
         (2, "move v1 p1 p2", {5}, {1}, {5}),

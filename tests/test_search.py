@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 
 from costplan import search
 from costplan.bench import gen_gridworld, synthetic_manifest_for
-from costplan.errors import MissingTrueCostError, OracleBoundExceededError
+from costplan.errors import (
+    EstimatorUnavailableError,
+    MissingTrueCostError,
+    OracleBoundExceededError,
+)
 from costplan.estimators import EstimatorRegistry, SyntheticConfig
-from costplan.intervals import INF, TOLERANCE
+from costplan.intervals import INF, TOLERANCE, CostInterval
 from costplan.metrics import RunRecord, emit_report
 from costplan.pddl import ground
 from costplan.search import (
@@ -24,7 +28,7 @@ from costplan.search import (
     make_heuristic,
     oracle_optimal,
 )
-from costplan.task import CostTable, apply, mask_of
+from costplan.task import CostTable, is_goal, mask_of
 
 from conftest import ACCEPTANCE_INSTANCES
 
@@ -44,8 +48,6 @@ from helpers import (
 def hmax_of(task, refinements=()):
     table = CostTable(task)
     for aid, iv in refinements:
-        from costplan.intervals import CostInterval
-
         table.refine(aid, CostInterval(*iv))
     return hmax(task.init, task, table)
 
@@ -112,8 +114,8 @@ def _lb_distances_to_goal(task, table):
             continue
         states.add(state)
         for action in task.actions:
-            if action.pre <= state:
-                succ = (state - action.delete) | action.add
+            if state & action.pre == action.pre:
+                succ = state & ~action.delete | action.add
                 g2 = g + table.lb(action.id)
                 if g2 < seen.get(succ, INF) - TOLERANCE:
                     seen[succ] = g2
@@ -132,11 +134,11 @@ def _dijkstra_cost(task, table, start):
         g, _, state = heapq.heappop(heap)
         if g > best.get(state, INF):
             continue
-        if task.goal <= state:
+        if state & task.goal == task.goal:
             return g
         for action in task.actions:
-            if action.pre <= state:
-                succ = (state - action.delete) | action.add
+            if state & action.pre == action.pre:
+                succ = state & ~action.delete | action.add
                 g2 = g + table.lb(action.id)
                 if g2 < best.get(succ, INF) - TOLERANCE:
                     best[succ] = g2
@@ -208,7 +210,7 @@ def test_persistent_hmax_equals_fresh_after_each_refinement(build):
             calls += 1
             lbs = [table.lb(a) for a in range(task.n_actions)]
             view = decode(state)
-            assert evaluator(state) == hmax(view, task, table) == reference_hmax(view, task, lbs)
+            assert evaluator(state) == hmax(state, task, table) == reference_hmax(view, task, lbs)
         # half the refinements hit the current plan, as asec's do
         pool = list(plan or ()) if rng.random() < 0.5 else range(task.n_actions)
         refinable = [a for a in pool if registry.refinable(a)] or [
@@ -225,7 +227,7 @@ def test_asec_shared_hmax_matches_fresh_per_replan(monkeypatch, eps):
     tasks = [acceptance_instance(i, seed=i) for i in range(6)] + [_grid_5x5(seed=2)]
     shared = [asec(task, SearchConfig(epsilon=eps)) for task in tasks]
     monkeypatch.setattr(
-        search, "make_heuristic", lambda name, task, table: lambda s: hmax(decode(s), task, table)
+        search, "make_heuristic", lambda name, task, table: lambda s: hmax(s, task, table)
     )
     for task, (cert, report) in zip(tasks, shared):
         fresh_cert, fresh_report = asec(task, SearchConfig(epsilon=eps))
@@ -275,12 +277,12 @@ def test_hmax_kernel_equals_value_iteration_reference(monkeypatch, build):
     monkeypatch.setattr(search, "make_heuristic", checked)
     cert, _ = asec(task, SearchConfig(epsilon=1.0))
     # lbs were raised between replans, unless the goal holds in init (acc0, acc3)
-    assert len(lbs_seen) > 1 or (cert.plan == () and task.goal <= task.init)
+    assert len(lbs_seen) > 1 or (cert.plan == () and is_goal(task.init, task))
 
 
 # ---------------------------------------------------------------------------
-# The compiled task: A* proposes exactly the applicable actions, in ascending
-# fact order, and int successors equal apply on the frozenset view
+# The task's action index: A* proposes exactly the applicable actions, in
+# ascending fact order, and int successors equal STRIPS on the frozenset view
 
 INDEX_TASKS = [lambda i=i: acceptance_instance(i, seed=i) for i in range(6)] + [
     lambda: suite_instance(5, seed=3),  # logistics: load/unload have two preconditions
@@ -295,18 +297,17 @@ INDEX_TASKS = [lambda i=i: acceptance_instance(i, seed=i) for i in range(6)] + [
 )
 def test_action_indexes_propose_exactly_the_applicable_actions(monkeypatch, build):
     task = build()
-    compiled = task.compiled
-    assert task.compiled is compiled
-    assert (decode(compiled.init), decode(compiled.goal)) == (task.init, task.goal)
+    groups = task.groups
+    assert task.groups is groups
     # group 0: no precondition; group f + 1: lowest precondition f; each in id order
-    rows = [row for group in compiled.groups for row in group]
+    rows = [row for group in groups for row in group]
     assert sorted(row[0] for row in rows) == list(range(task.n_actions))
-    for index, group in enumerate(compiled.groups):
+    for index, group in enumerate(groups):
         assert [row[0] for row in group] == sorted(row[0] for row in group)
-        for action_id, pre, _, add in group:
+        for action_id, pre, keep, add in group:
             action = task.actions[action_id]
-            assert index == (min(action.pre) + 1 if action.pre else 0)
-            assert (decode(pre), decode(add)) == (action.pre, action.add)
+            assert index == min(decode(action.pre), default=-1) + 1
+            assert (pre, keep, add) == (action.pre, ~action.delete, action.add)
     touched = set()
 
     def recording(name, task, table):
@@ -315,21 +316,22 @@ def test_action_indexes_propose_exactly_the_applicable_actions(monkeypatch, buil
 
     monkeypatch.setattr(search, "make_heuristic", recording)
     asec(task, SearchConfig(epsilon=1.0))
-    assert compiled.init in touched
+    assert task.init in touched
     for state in touched:
         view = decode(state)
         proposed = [
             row for index in [0, *(f + 1 for f in sorted(view))]
-            for row in compiled.groups[index] if state & row[1] == row[1]
+            for row in groups[index] if state & row[1] == row[1]
         ]
-        scan = [a for a in task.actions if a.pre <= view]
+        scan = [a for a in task.actions if decode(a.pre) <= view]
         assert sorted(row[0] for row in proposed) == [a.id for a in scan]
         # precondition-free actions first, then by ascending state fact, in id order
         assert [row[0] for row in proposed] == [
-            a.id for a in sorted(scan, key=lambda a: (min(a.pre) + 1 if a.pre else 0, a.id))
+            a.id for a in sorted(scan, key=lambda a: (min(decode(a.pre), default=-1) + 1, a.id))
         ]
         for action_id, _, keep, add in proposed:
-            assert decode(state & keep | add) == apply(view, task.actions[action_id])
+            action = task.actions[action_id]
+            assert decode(state & keep | add) == view - decode(action.delete) | decode(action.add)
 
 
 @pytest.mark.parametrize("heuristic", ["blind", "hmax"])
@@ -567,6 +569,24 @@ def test_refine_budget_limits_spend():
     # level 1 (1 ms) fits; level 2 (50 ms) does not
     assert (refined.lower, refined.upper) == (5.0, 10.0)
     assert registry.total_charged_ms() == 1.0
+
+
+def test_post_search_refinement_skips_an_unavailable_estimator():
+    class FailingLevel2:  # a remote estimator that answers level 1 only
+        def estimate(self, name, level):
+            if level == 2:
+                raise EstimatorUnavailableError(f"{name}: level 2 is down")
+            return CostInterval(5.0, 10.0), 1.0
+
+    task = make_task(
+        [("a", {0}, {1}, set(), [(1.0, (5.0, 10.0)), (10.0, (7.0, 7.0))])],
+        goal={1},
+    )
+    registry = EstimatorRegistry(task, remote=FailingLevel2())
+    cert, report = asec(task, SearchConfig(epsilon=3.0, refine_budget_ms=INF), registry)
+    assert (cert.plan, cert.lower, cert.upper, cert.verdict) == ((0,), 5.0, 10.0, "certified")
+    assert [(e.level, e.failed) for e in report.calls] == [(1, False)]
+    assert not registry.refinable(0)
 
 
 def test_post_search_refinement_logged_at_debug(caplog, drive_task):

@@ -2,32 +2,32 @@ import pytest
 
 from costplan.errors import ModelInconsistencyError, PreconditionError
 from costplan.intervals import INF, CostInterval
-from costplan.task import CostTable, GroundAction, apply, is_goal
+from costplan.task import CostTable, GroundAction, apply, is_goal, mask_of
 
-from helpers import make_task
+from helpers import decode, make_task
 
 
 def act(pre, add, delete, name="a", aid=0):
     return GroundAction(
-        id=aid, name=name, pre=frozenset(pre), add=frozenset(add), delete=frozenset(delete)
+        id=aid, name=name, pre=mask_of(pre), add=mask_of(add), delete=mask_of(delete)
     )
 
 
 def test_apply_strips_semantics():
-    assert apply(frozenset({0}), act({0}, {1}, {0})) == {1}
+    assert decode(apply(mask_of({0}), act({0}, {1}, {0}))) == {1}
 
 
 def test_apply_identity_effects():
-    assert apply(frozenset({0}), act({0}, set(), set())) == {0}
+    assert decode(apply(mask_of({0}), act({0}, set(), set()))) == {0}
 
 
 def test_apply_keeps_unrelated_facts():
-    assert apply(frozenset({0, 1}), act({1}, {2}, {1})) == {0, 2}
+    assert decode(apply(mask_of({0, 1}), act({1}, {2}, {1}))) == {0, 2}
 
 
 def test_apply_rejects_unmet_precondition():
-    with pytest.raises(PreconditionError):
-        apply(frozenset({0}), act({1}, {2}, set()))
+    with pytest.raises(PreconditionError, match=r"missing facts \[1\]"):
+        apply(mask_of({0}), act({1}, {2}, set()))
 
 
 def test_add_delete_overlap_rejected():
@@ -37,10 +37,10 @@ def test_add_delete_overlap_rejected():
 
 def test_is_goal():
     task = make_task([("a", {0}, {1}, set(), [])], goal={1})
-    assert not is_goal(frozenset({0}), task)
-    assert is_goal(frozenset({0, 1}), task)
+    assert not is_goal(mask_of({0}), task)
+    assert is_goal(mask_of({0, 1}), task)
     empty_goal = make_task([("a", {0}, {1}, set(), [])], goal=set())
-    assert is_goal(frozenset(), empty_goal)
+    assert is_goal(mask_of(()), empty_goal)
 
 
 class TestCostTable:
