@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .errors import TaskMismatchError
@@ -76,13 +76,6 @@ def compare(dynamic: MetricsReport, offline: MetricsReport) -> Comparison:
 # ---------------------------------------------------------------------------
 # Report files
 
-CSV_COLUMNS = [
-    "instance", "mode", "epsilon", "n", "a_actual", "calls",
-    "t_modeling_ms", "t_planning_ms", "t_avg_ms",
-    "plan_lb", "plan_ub", "verdict", "true_plan_cost", "status",
-]
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """One CSV row: a single (instance, mode) planner episode."""
@@ -126,6 +119,9 @@ class RunRecord:
             verdict=cert.verdict,
             true_plan_cost=true_cost,
         )
+
+
+CSV_COLUMNS = [field.name for field in fields(RunRecord)]
 
 
 def _cell(value) -> str:

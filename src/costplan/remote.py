@@ -112,9 +112,10 @@ class _Handler(socketserver.StreamRequestHandler):
     def _reply(self, line: str) -> dict:
         try:
             request = json.loads(line)
-            action = request["action"]
-            level = int(request["level"])
+            action, level = request["action"], request["level"]
         except (KeyError, TypeError, ValueError, RecursionError):
+            return {"error": "malformed request"}
+        if type(action) is not str or type(level) is not int:  # bool is not a level
             return {"error": "malformed request"}
         entry = self.server.entries.get(action)
         if entry is None:

@@ -18,15 +18,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    EstimatorUnavailableError,
-    MissingTrueCostError,
-    OracleBoundExceededError,
-)
+from .errors import MissingTrueCostError, OracleBoundExceededError
 from .estimators import EstimatorRegistry
 from .intervals import INF, TOLERANCE, CostInterval
 from .metrics import MetricsReport
-from .task import CostTable, PlanningTask, facts_of
+from .task import PlanningTask, facts_of
 
 log = logging.getLogger("costplan.search")
 
@@ -75,7 +71,7 @@ def certified(lower: float, upper: float, epsilon: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Heuristics (admissible w.r.t. the lower-bound cost table)
+# Heuristics (admissible w.r.t. the registry's lower bounds)
 
 class _HmaxEvaluator:
     """Delete-relaxation h_max over current lower-bound costs, on int states.
@@ -89,10 +85,11 @@ class _HmaxEvaluator:
     One evaluator serves a whole asec episode. Per state it caches the h
     value and a support mask: a bitmask over action ids holding the best
     supporters on the derivation of every goal fact it reached. Each call
-    first reads the ids that ``CostTable.refine`` appended to
-    ``table.raised`` since the previous call, copies those lbs, and drops
-    every cached state whose mask holds one of them. A kept value is exactly
-    what a fresh computation returns, not merely admissible: lbs only rise
+    first reads the ids that ``EstimatorRegistry.refine`` appended to
+    ``registry.raised`` since the previous call and drops every cached state
+    whose mask holds one of them, so every computation reads the current
+    ``registry.lbs``. A kept value is exactly what a fresh computation
+    returns, not merely admissible: lbs only rise
     (refinement intersects intervals) and h_max is monotone in them, so no
     fact cost falls; a goal fact whose derivation holds no raised action
     still has that derivation, so its cost cannot rise either, and since
@@ -101,15 +98,14 @@ class _HmaxEvaluator:
     for a goal inside the state carry an empty mask and are never dropped.
     """
 
-    def __init__(self, task: PlanningTask, table: CostTable):
+    def __init__(self, task: PlanningTask, registry: EstimatorRegistry):
         self.task = task
-        self.table = table
-        self.lbs = [table.lb(a.id) for a in task.actions]
-        self._raised_seen = len(table.raised)
+        self.registry = registry
+        self._raised_seen = len(registry.raised)
         self._cache: dict = {}  # int state -> (h, support mask)
 
     def __call__(self, state: int) -> float:
-        if len(self.table.raised) > self._raised_seen:
+        if len(self.registry.raised) > self._raised_seen:
             self._drop_stale()
         entry = self._cache.get(state)
         if entry is None:
@@ -117,10 +113,9 @@ class _HmaxEvaluator:
         return entry[0]
 
     def _drop_stale(self) -> None:
-        raised = self.table.raised
+        raised = self.registry.raised
         stale = 0
         for action_id in raised[self._raised_seen:]:
-            self.lbs[action_id] = self.table.lb(action_id)
             stale |= 1 << action_id
         self._raised_seen = len(raised)
         self._cache = {s: e for s, e in self._cache.items() if not e[1] & stale}
@@ -131,7 +126,7 @@ class _HmaxEvaluator:
         if state & goal == goal:
             return 0.0, 0
         free, unary, multi, counts, multi_adds, pres, goal_facts, is_goal = self.task.relaxation
-        lbs = self.lbs
+        lbs = self.registry.lbs
         cost = [INF] * len(is_goal)
         supporter = [-1] * len(is_goal)
         heap = []  # facts_of is ascending, so this list is a heap as built
@@ -189,22 +184,22 @@ def _support_mask(goal_facts, supporter: list, pres: list) -> int:
     return mask
 
 
-def hmax(state: int, task: PlanningTask, table: CostTable) -> float:
-    """h_max of a state under the table's current lower bounds."""
-    return _HmaxEvaluator(task, table)(state)
+def hmax(state: int, task: PlanningTask, registry: EstimatorRegistry) -> float:
+    """h_max of a state under the registry's current lower bounds."""
+    return _HmaxEvaluator(task, registry)(state)
 
 
-def make_heuristic(name: str, task: PlanningTask, table: CostTable):
+def make_heuristic(name: str, task: PlanningTask, registry: EstimatorRegistry):
     """The episode's heuristic: a callable from an int state to an admissible h."""
     if name == "blind":
         return lambda state: 0.0
-    return _HmaxEvaluator(task, table)
+    return _HmaxEvaluator(task, registry)
 
 
 # ---------------------------------------------------------------------------
 # A* core
 
-def astar_lb(task: PlanningTask, table: CostTable, heuristic) -> tuple:
+def astar_lb(task: PlanningTask, registry: EstimatorRegistry, heuristic) -> tuple:
     """A* on lower-bound costs over int states; duplicate detection with g reopening.
 
     Returns (plan or None, expansions). FIFO tie-breaking on equal f.
@@ -214,7 +209,7 @@ def astar_lb(task: PlanningTask, table: CostTable, heuristic) -> tuple:
     only cache of h values.
     """
     init, goal, groups = task.init, task.goal, task.groups
-    lb = table.lb
+    lbs = registry.lbs
     push, pop = heapq.heappush, heapq.heappop
     counter = itertools.count()
     best_g = {init: 0.0}
@@ -238,7 +233,7 @@ def astar_lb(task: PlanningTask, table: CostTable, heuristic) -> tuple:
                 if state & pre != pre:
                     continue
                 succ = state & keep | add
-                g2 = g + lb(action_id)
+                g2 = g + lbs[action_id]
                 if g2 < best_g.get(succ, INF) - TOLERANCE:
                     best_g[succ] = g2
                     h = heuristic(succ)
@@ -286,7 +281,7 @@ def _pick_refinement(plan, registry) -> Optional[int]:
     for action_id in plan:
         if not registry.refinable(action_id):
             continue
-        width = registry.table.interval(action_id).width
+        width = registry.intervals[action_id].width
         if width > best_width:
             best = action_id
             best_width = width
@@ -307,10 +302,7 @@ def _refine_within(plan, registry, budget_ms: float) -> None:
         if spent + registry.task.chains[target][level].time_ms > budget_ms + TOLERANCE:
             return
         calls = len(registry.ledger)
-        try:
-            registry.invoke_next(target)
-        except EstimatorUnavailableError:
-            pass  # action is now marked unrefinable
+        registry.invoke_next(target)
         charged = sum(e.time_ms for e in registry.ledger[calls:])
         spent += charged
         log.debug("post-search refine %s level %d: charged %s ms, %s of %s ms spent",
@@ -334,13 +326,12 @@ def _solve(
     that budget (``_refine_within``) and rebuilds its bound, which only narrows;
     the verdict stays, as an uncertified plan has nothing left to refine.
     """
-    table = registry.table
-    heuristic = make_heuristic(config.heuristic, task, table)
+    heuristic = make_heuristic(config.heuristic, task, registry)
     expansions = 0
     for replan in itertools.count(1):
-        plan, exp = astar_lb(task, table, heuristic)
+        plan, exp = astar_lb(task, registry, heuristic)
         expansions += exp
-        bound = CostInterval(INF, INF) if plan is None else table.plan_interval(plan)
+        bound = CostInterval(INF, INF) if plan is None else registry.plan_interval(plan)
         lb, ub = bound.lb, bound.ub
         ratio = ub / lb if lb > 0 else (INF if ub > 0 else 1.0)
         if plan is None:
@@ -362,13 +353,10 @@ def _solve(
             replan, len(plan), lb, ub, ratio, exp,
             task.actions[target].name, registry.next_level[target] + 1,
         )
-        try:
-            registry.invoke_next(target)
-        except EstimatorUnavailableError:
-            pass  # action is now marked unrefinable; re-plan
+        registry.invoke_next(target)
     if plan is not None and config.refine_budget_ms is not None:
         _refine_within(plan, registry, config.refine_budget_ms)
-        bound = table.plan_interval(plan)
+        bound = registry.plan_interval(plan)
         log.debug("post-search cost [%s, %s]; %s", bound.lb, bound.ub, verdict)
     cert = PlanCertificate(plan, bound.lb, bound.ub, config.epsilon, verdict)
     wall = time.perf_counter() - started
@@ -388,16 +376,13 @@ def astar_offline(
 ) -> tuple:
     """Conservative baseline: best estimate for every action, then plain A*.
 
-    Every chain ends fully invoked or unavailable, so nothing is refinable
+    Every chain ends fully invoked or skipped, so nothing is refinable
     and the shared loop runs A* exactly once.
     """
     started = time.perf_counter()
     registry = registry or EstimatorRegistry(task)
     for action in task.actions:
-        try:
-            registry.invoke_final(action.id)
-        except EstimatorUnavailableError:
-            pass  # keep the prior for this action
+        registry.invoke_final(action.id)  # an unavailable estimator keeps the prior
     return _solve(task, config, registry, "offline", started)
 
 

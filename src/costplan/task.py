@@ -1,16 +1,12 @@
-"""Grounded STRIPS task model plus the mutable cost-knowledge overlay."""
+"""Grounded STRIPS task model: int-bitset states and actions, and their indexes."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .errors import ModelInconsistencyError, PreconditionError
-from .intervals import CostInterval, accumulate
-
-log = logging.getLogger("costplan.task")
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -159,46 +155,3 @@ def apply(state: int, action: GroundAction) -> int:
 def is_goal(state: int, task: PlanningTask) -> bool:
     return state & task.goal == task.goal
 
-
-class CostTable:
-    """Current interval knowledge per action; single-writer per episode.
-
-    It holds interval knowledge only; which estimator level comes next is
-    EstimatorRegistry.next_level. Refinement only narrows. An estimator
-    reply that would widen an interval is clamped to the intersection (with
-    a warning); an empty intersection is a hard model-inconsistency error.
-    ``raised`` is an append-only log of action ids, one entry per refinement
-    that strictly raised that action's lb; readers keep their own position.
-    """
-
-    def __init__(self, task: PlanningTask):
-        self._intervals = list(task.priors)
-        self.raised: list[int] = []
-
-    def interval(self, action_id: int) -> CostInterval:
-        return self._intervals[action_id]
-
-    def lb(self, action_id: int) -> float:
-        return self._intervals[action_id].lb
-
-    def refine(self, action_id: int, incoming: CostInterval) -> CostInterval:
-        current = self._intervals[action_id]
-        try:
-            narrowed = current.intersect(incoming)
-        except ValueError as exc:
-            raise ModelInconsistencyError(
-                f"action {action_id}: estimator interval [{incoming.lb}, {incoming.ub}] "
-                f"is disjoint from current [{current.lb}, {current.ub}]"
-            ) from exc
-        if not current.contains_interval(incoming):
-            log.warning(
-                "action %d: estimator interval [%s, %s] would widen [%s, %s]; clamped",
-                action_id, incoming.lb, incoming.ub, current.lb, current.ub,
-            )
-        if narrowed.lb > current.lb:
-            self.raised.append(action_id)
-        self._intervals[action_id] = narrowed
-        return narrowed
-
-    def plan_interval(self, plan) -> CostInterval:
-        return accumulate(self._intervals[a] for a in plan)

@@ -109,7 +109,7 @@ def decode(mask):
     return frozenset(facts_of(mask))
 
 
-def reference_astar_lb(task, table, heuristic):
+def reference_astar_lb(task, registry, heuristic):
     """A* on lower-bound costs over frozenset states; the reference for search.astar_lb.
 
     The heuristic takes frozenset states. Each action is tried under its
@@ -143,7 +143,7 @@ def reference_astar_lb(task, table, heuristic):
                 if not pre <= state:
                     continue
                 succ = (state - delete) | add
-                g2 = g + table.lb(action_id)
+                g2 = g + registry.lbs[action_id]
                 if g2 < best_g.get(succ, INF) - TOLERANCE:
                     best_g[succ] = g2
                     h = heuristic(succ)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costplan.bench import EMPTY_MANIFEST, gen_gridworld, synthetic_manifest_for
-from costplan.errors import ChainExhaustedError, ConfigError
+from costplan.errors import ChainExhaustedError, ConfigError, EstimatorUnavailableError
 from costplan.estimators import (
     EstimatorRegistry,
     SyntheticConfig,
@@ -50,7 +50,7 @@ class TestRegistry:
         reg = EstimatorRegistry(two_level_task())
         reg.invoke_final(0)
         assert reg.total_charged_ms() == 100.0
-        assert reg.table.interval(0) == CostInterval(7.0, 7.0)
+        assert reg.intervals[0] == CostInterval(7.0, 7.0)
         assert not reg.refinable(0)
 
     def test_memoized_single_charge(self):
@@ -64,8 +64,36 @@ class TestRegistry:
     def test_final_on_prior_only_chain_charges_nothing(self):
         reg = EstimatorRegistry(make_task([("a", {0}, {1}, set(), [])], goal={1}))
         assert reg.invoke_final(0) is None
-        assert (reg.ledger, reg.table.interval(0)) == ([], CostInterval(0.0, INF))
+        assert (reg.ledger, reg.intervals[0]) == ([], CostInterval(0.0, INF))
         assert not reg.refinable(0)
+
+    @pytest.mark.parametrize("real_latency", [False, True])
+    def test_unavailable_estimator_skips_the_rest_of_its_chain(self, real_latency):
+        class DownServer:
+            def estimate(self, name, level):
+                raise EstimatorUnavailableError("down")
+
+        reg = EstimatorRegistry(two_level_task(), remote=DownServer(), real_latency=real_latency)
+        assert reg.invoke_next(0) == CostInterval(0.0, INF)  # the prior, no exception
+        assert not reg.refinable(0)
+        assert reg.next_level[0] == len(reg.task.chains[0]) == 2
+        assert reg.intervals[0] == CostInterval(0.0, INF) and reg.raised == []
+        if real_latency:
+            assert [(e.action_id, e.level, e.failed) for e in reg.ledger] == [(0, 1, True)]
+        else:
+            assert reg.ledger == []
+        with pytest.raises(ChainExhaustedError):
+            reg.invoke_next(0)
+        assert reg.invoke_final(0) == CostInterval(0.0, INF)  # skipped, not retried
+        assert len(reg.ledger) == int(real_latency)
+
+    def test_lbs_track_intervals(self):
+        reg = EstimatorRegistry(two_level_task())
+        assert reg.lbs == [0.0]
+        reg.invoke_next(0)
+        reg.refine(0, CostInterval(6.0, 12.0))  # widening ub, clamped
+        assert reg.lbs == [reg.intervals[0].lb] == [6.0]
+        assert reg.raised == [0, 0]
 
 
 def slow_level_task():
@@ -134,6 +162,16 @@ def test_invalid_configs_rejected():
         dict(time_scale=math.nan),
         dict(width=math.nan),
         dict(base_time_ms=math.nan),
+        dict(base_time_ms=math.inf),
+        dict(time_scale=math.inf),
+        dict(width=math.inf),
+        dict(cost_range=(1.0, math.inf)),
+        dict(cost_range=(math.nan, 2.0)),
+        dict(cost_range=(1, 10**400)),
+        dict(levels=2.0),
+        dict(levels=True),
+        dict(time_scale=1e200),
+        dict(levels=2, time_scale=10**200, base_time_ms=10**200),
     ]:
         with pytest.raises(ConfigError):
             SyntheticConfig(**bad)

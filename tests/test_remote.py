@@ -75,6 +75,17 @@ def test_unknown_action_is_error_reply(drive_server):
 def test_malformed_request_is_error_reply(drive_server):
     assert "error" in raw_request(drive_server, "not json")
     assert "error" in raw_request(drive_server, json.dumps({"action": "drive a b"}))
+    for request in [
+        {"action": ["x"], "level": 1},
+        {"action": {"drive a b": 1}, "level": 1},
+        {"action": "drive a b", "level": "1"},
+        {"action": "drive a b", "level": 1.9},
+        {"action": "drive a b", "level": 1.0},
+        {"action": "drive a b", "level": True},
+        {"action": "drive a b", "level": None},
+        ["drive a b", 1],
+    ]:
+        assert raw_request(drive_server, json.dumps(request)) == {"error": "malformed request"}
 
 
 def test_level_out_of_range(drive_server):

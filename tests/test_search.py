@@ -28,7 +28,7 @@ from costplan.search import (
     make_heuristic,
     oracle_optimal,
 )
-from costplan.task import CostTable, is_goal, mask_of
+from costplan.task import is_goal, mask_of
 
 from conftest import ACCEPTANCE_INSTANCES
 
@@ -46,10 +46,10 @@ from helpers import (
 # hmax
 
 def hmax_of(task, refinements=()):
-    table = CostTable(task)
+    registry = EstimatorRegistry(task)
     for aid, iv in refinements:
-        table.refine(aid, CostInterval(*iv))
-    return hmax(task.init, task, table)
+        registry.refine(aid, CostInterval(*iv))
+    return hmax(task.init, task, registry)
 
 
 def test_hmax_zero_at_goal():
@@ -93,13 +93,12 @@ def test_hmax_admissible_vs_exhaustive():
         registry = EstimatorRegistry(task)
         for action in task.actions:  # pin lb = exact final
             registry.invoke_final(action.id)
-        table = registry.table
-        dist = _lb_distances_to_goal(task, table)
+        dist = _lb_distances_to_goal(task, registry)
         for state, remaining in dist.items():
-            assert hmax(state, task, table) <= remaining + TOLERANCE
+            assert hmax(state, task, registry) <= remaining + TOLERANCE
 
 
-def _lb_distances_to_goal(task, table):
+def _lb_distances_to_goal(task, registry):
     """Forward Dijkstra from init, then optimal remaining cost per state."""
     import heapq
     import itertools
@@ -116,14 +115,14 @@ def _lb_distances_to_goal(task, table):
         for action in task.actions:
             if state & action.pre == action.pre:
                 succ = state & ~action.delete | action.add
-                g2 = g + table.lb(action.id)
+                g2 = g + registry.lbs[action.id]
                 if g2 < seen.get(succ, INF) - TOLERANCE:
                     seen[succ] = g2
                     heapq.heappush(heap, (g2, next(counter), succ))
-    return {state: _dijkstra_cost(task, table, state) for state in states}
+    return {state: _dijkstra_cost(task, registry, state) for state in states}
 
 
-def _dijkstra_cost(task, table, start):
+def _dijkstra_cost(task, registry, start):
     import heapq
     import itertools
 
@@ -139,7 +138,7 @@ def _dijkstra_cost(task, table, start):
         for action in task.actions:
             if state & action.pre == action.pre:
                 succ = state & ~action.delete | action.add
-                g2 = g + table.lb(action.id)
+                g2 = g + registry.lbs[action.id]
                 if g2 < best.get(succ, INF) - TOLERANCE:
                     best[succ] = g2
                     heapq.heappush(heap, (g2, next(counter), succ))
@@ -192,8 +191,7 @@ def test_persistent_hmax_equals_fresh_after_each_refinement(build):
     task = build()
     rng = random.Random(task.name)
     registry = EstimatorRegistry(task)
-    table = registry.table
-    evaluator = make_heuristic("hmax", task, table)
+    evaluator = make_heuristic("hmax", task, registry)
     computed = []
     evaluate = evaluator._evaluate
     evaluator._evaluate = lambda state: computed.append(state) or evaluate(state)
@@ -205,12 +203,12 @@ def test_persistent_hmax_equals_fresh_after_each_refinement(build):
         return evaluator(state)
 
     for _ in range(60):
-        plan, _ = astar_lb(task, table, recording)
+        plan, _ = astar_lb(task, registry, recording)
         for state in touched:
             calls += 1
-            lbs = [table.lb(a) for a in range(task.n_actions)]
+            lbs = list(registry.lbs)
             view = decode(state)
-            assert evaluator(state) == hmax(state, task, table) == reference_hmax(view, task, lbs)
+            assert evaluator(state) == hmax(state, task, registry) == reference_hmax(view, task, lbs)
         # half the refinements hit the current plan, as asec's do
         pool = list(plan or ()) if rng.random() < 0.5 else range(task.n_actions)
         refinable = [a for a in pool if registry.refinable(a)] or [
@@ -227,7 +225,7 @@ def test_asec_shared_hmax_matches_fresh_per_replan(monkeypatch, eps):
     tasks = [acceptance_instance(i, seed=i) for i in range(6)] + [_grid_5x5(seed=2)]
     shared = [asec(task, SearchConfig(epsilon=eps)) for task in tasks]
     monkeypatch.setattr(
-        search, "make_heuristic", lambda name, task, table: lambda s: hmax(s, task, table)
+        search, "make_heuristic", lambda name, task, registry: lambda s: hmax(s, task, registry)
     )
     for task, (cert, report) in zip(tasks, shared):
         fresh_cert, fresh_report = asec(task, SearchConfig(epsilon=eps))
@@ -262,11 +260,11 @@ def test_hmax_kernel_equals_value_iteration_reference(monkeypatch, build):
     task = build()
     lbs_seen = set()
 
-    def checked(name, task, table):
-        heuristic = make_heuristic(name, task, table)
+    def checked(name, task, registry):
+        heuristic = make_heuristic(name, task, registry)
 
         def check(state):
-            lbs = tuple(table.lb(a) for a in range(task.n_actions))
+            lbs = tuple(registry.lbs)
             lbs_seen.add(lbs)
             h = heuristic(state)
             assert h == reference_hmax(decode(state), task, lbs)
@@ -310,8 +308,8 @@ def test_action_indexes_propose_exactly_the_applicable_actions(monkeypatch, buil
             assert (pre, keep, add) == (action.pre, ~action.delete, action.add)
     touched = set()
 
-    def recording(name, task, table):
-        heuristic = make_heuristic(name, task, table)
+    def recording(name, task, registry):
+        heuristic = make_heuristic(name, task, registry)
         return lambda state: touched.add(state) or heuristic(state)
 
     monkeypatch.setattr(search, "make_heuristic", recording)
@@ -343,18 +341,17 @@ def test_astar_matches_frozenset_reference_on_acceptance_instances(heuristic):
     for index in range(ACCEPTANCE_INSTANCES):
         task = acceptance_instance(index, seed=index)
         registry = EstimatorRegistry(task)
-        table = registry.table
         for invoke in (None, registry.invoke_next, registry.invoke_final):
             for action_id in range(task.n_actions if invoke else 0):
                 if registry.refinable(action_id):
                     invoke(action_id)
-            h = make_heuristic(heuristic, task, table)
-            plan, expansions = astar_lb(task, table, h)
-            ref_plan, ref_expansions = reference_astar_lb(task, table, lambda s: h(mask_of(s)))
+            h = make_heuristic(heuristic, task, registry)
+            plan, expansions = astar_lb(task, registry, h)
+            ref_plan, ref_expansions = reference_astar_lb(task, registry, lambda s: h(mask_of(s)))
             assert (plan is None) == (ref_plan is None)
             if plan is not None:
-                cost = table.plan_interval(plan).lb
-                assert cost == pytest.approx(table.plan_interval(ref_plan).lb, abs=TOLERANCE)
+                cost = registry.plan_interval(plan).lb
+                assert cost == pytest.approx(registry.plan_interval(ref_plan).lb, abs=TOLERANCE)
             if index % 2 == 0:  # acceptance_instance's gridworlds
                 assert (plan, expansions) == (ref_plan, ref_expansions)
             compared += 1
@@ -458,7 +455,7 @@ def test_asec_epsilon_infinity_returns_lb_optimal():
     )
     cert, report = asec(task, SearchConfig(epsilon=INF))
     assert cert.verdict == "certified"
-    assert cert.plan == (1,)  # minimizes lb under the initial table
+    assert cert.plan == (1,)  # minimizes lb under the initial priors
     assert report.calls == ()
 
 
@@ -541,7 +538,7 @@ def refine_fixture(budget_ms):
         goal={1},
     )
     registry = EstimatorRegistry(task)
-    registry.invoke_next(0)  # table now [5,10]
+    registry.invoke_next(0)  # interval now [5,10]
     return asec(task, SearchConfig(epsilon=3.0, refine_budget_ms=budget_ms), registry)
 
 
@@ -672,7 +669,7 @@ def test_asec_ratio_monotone_per_refinement():
     ratios = []
     for aid in (0, 1, 0, 1):
         registry.invoke_next(aid)
-        bound = registry.table.plan_interval(plan)
+        bound = registry.plan_interval(plan)
         if bound.lb > 0:
             ratios.append(bound.ub / bound.lb)
     assert all(b <= a + TOLERANCE for a, b in zip(ratios, ratios[1:]))

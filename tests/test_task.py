@@ -2,7 +2,8 @@ import pytest
 
 from costplan.errors import ModelInconsistencyError, PreconditionError
 from costplan.intervals import INF, CostInterval
-from costplan.task import CostTable, GroundAction, apply, is_goal, mask_of
+from costplan.estimators import EstimatorRegistry
+from costplan.task import GroundAction, apply, is_goal, mask_of
 
 from helpers import decode, make_task
 
@@ -44,24 +45,26 @@ def test_is_goal():
 
 
 class TestCostTable:
+    """The per-episode cost table, ``EstimatorRegistry.intervals``, and its ``refine``."""
+
     def _table(self):
         task = make_task([("a", {0}, {1}, set(), [(1.0, (0.0, 10.0))])], goal={1})
-        return CostTable(task)
+        return EstimatorRegistry(task)
 
     def test_starts_at_prior(self):
         table = self._table()
-        assert table.interval(0) == CostInterval(0.0, INF)
+        assert table.intervals[0] == CostInterval(0.0, INF)
 
     def test_refinement_narrows(self):
         table = self._table()
         table.refine(0, CostInterval(2.0, 8.0))
         table.refine(0, CostInterval(3.0, 5.0))
-        assert table.interval(0) == CostInterval(3.0, 5.0)
+        assert table.intervals[0] == CostInterval(3.0, 5.0)
 
     def test_widening_clamped_to_intersection(self, caplog):
         table = self._table()
         table.refine(0, CostInterval(2.0, 8.0))
-        with caplog.at_level("WARNING", logger="costplan.task"):
+        with caplog.at_level("WARNING", logger="costplan.estimators"):
             result = table.refine(0, CostInterval(1.0, 5.0))
         assert result == CostInterval(2.0, 5.0)
         assert any("clamped" in rec.message for rec in caplog.records)
@@ -74,10 +77,10 @@ class TestCostTable:
 
     def test_width_nonincreasing_over_refinements(self):
         table = self._table()
-        widths = [table.interval(0).width]
+        widths = [table.intervals[0].width]
         for iv in [(1.0, 9.0), (0.5, 7.0), (2.0, 12.0), (3.0, 6.5)]:
             table.refine(0, CostInterval(*iv))
-            widths.append(table.interval(0).width)
+            widths.append(table.intervals[0].width)
         assert all(b <= a for a, b in zip(widths, widths[1:]))
 
     def test_raised_logs_only_strict_lb_rises(self):
