@@ -235,7 +235,7 @@ def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
         if not isinstance(raw["synthetic"], dict):
             raise ConfigError(f"suite entry {i}: synthetic must be an object")
         params = dict(raw["synthetic"])
-        if "cost_range" in params:
+        if isinstance(params.get("cost_range"), list):  # JSON has no tuples
             params["cost_range"] = tuple(params["cost_range"])
         try:
             synthetic = SyntheticConfig(**params)

@@ -9,19 +9,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import logging
 import math
 import os
 import sys
 
-from .bench import (
-    GENERATORS,
-    gen_gridworld,
-    gen_logistics,
-    load_suite,
-    run_suite,
-    synthetic_manifest_for,
-)
+from .bench import GENERATORS, load_suite, run_suite, synthetic_manifest_for
 from .errors import PlanningError
 from .estimators import EstimatorRegistry, SyntheticConfig
 from .manifest import load_manifest, manifest_to_json
@@ -31,6 +25,21 @@ from .remote import MockEstimatorServer, RemoteEstimatorClient
 from .search import HEURISTICS, MODES, SearchConfig, asec, astar_offline
 
 
+def _port(text: str, low: int = 0) -> int:
+    """An argparse type: a TCP port number in low-65535."""
+    if not (text.isascii() and text.isdigit() and low <= int(text) <= 65535):
+        raise argparse.ArgumentTypeError(f"port must be an integer in {low}-65535, not {text!r}")
+    return int(text)
+
+
+def _endpoint(text: str) -> tuple:
+    """An argparse type: HOST:PORT, a port in 1-65535; an empty HOST is 127.0.0.1."""
+    host, sep, port = text.rpartition(":")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"endpoint must be HOST:PORT, not {text!r}")
+    return host or "127.0.0.1", _port(port, low=1)
+
+
 def _add_plan_flags(sub):
     sub.add_argument("--domain", required=True)
     sub.add_argument("--problem", required=True)
@@ -38,7 +47,7 @@ def _add_plan_flags(sub):
     sub.add_argument("--epsilon", type=float, default=1.0)
     sub.add_argument("--heuristic", choices=HEURISTICS, default="hmax")
     sub.add_argument("--real-latency", action="store_true")
-    sub.add_argument("--endpoint", default=None, help="host:port of a remote estimator")
+    sub.add_argument("--endpoint", type=_endpoint, help="host:port of a remote estimator")
     sub.add_argument("--out", default=None, help="output path prefix for CSV/JSON reports")
 
 
@@ -65,14 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen_est.add_argument("--domain", required=True)
     gen_est.add_argument("--problem", required=True)
     gen_est.add_argument("--seed", type=int, default=0)
-    gen_est.add_argument("--levels", type=int, default=3)
-    gen_est.add_argument("--time-scale", type=float, default=2.0)
-    gen_est.add_argument("--base-time-ms", type=float, default=25.0)
-    gen_est.add_argument("--width", type=float, default=4.0)
-    gen_est.add_argument("--decay", type=float, default=0.5)
+    gen_est.add_argument("--levels", type=int, default=SyntheticConfig.levels)
+    gen_est.add_argument("--time-scale", type=float, default=SyntheticConfig.time_scale)
+    gen_est.add_argument("--base-time-ms", type=float, default=SyntheticConfig.base_time_ms)
+    gen_est.add_argument("--width", type=float, default=SyntheticConfig.width)
+    gen_est.add_argument("--decay", type=float, default=SyntheticConfig.decay)
     gen_est.add_argument("--no-exact-final", action="store_true")
-    gen_est.add_argument("--cost-min", type=float, default=1.0)
-    gen_est.add_argument("--cost-max", type=float, default=10.0)
+    gen_est.add_argument("--cost-min", type=float, default=SyntheticConfig.cost_range[0])
+    gen_est.add_argument("--cost-max", type=float, default=SyntheticConfig.cost_range[1])
     gen_est.add_argument("--out", required=True, help="manifest output path")
 
     gen_inst = subs.add_parser("gen-instances", help="generate PDDL instances")
@@ -89,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subs.add_parser("serve-estimators", help="serve a manifest over TCP")
     serve.add_argument("--manifest", required=True)
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7007)
+    serve.add_argument("--port", type=_port, default=7007)
     return parser
 
 
@@ -104,10 +113,9 @@ def _load_task(args):
 
 def _remote(args):
     """The --endpoint client, closed on exit; a context holding None without one."""
-    if not args.endpoint:
+    if args.endpoint is None:
         return contextlib.nullcontext()
-    host, _, port = args.endpoint.rpartition(":")
-    return RemoteEstimatorClient(host or "127.0.0.1", int(port))
+    return RemoteEstimatorClient(*args.endpoint)
 
 
 def _registry(task, args, remote) -> EstimatorRegistry:
@@ -193,12 +201,9 @@ def _cmd_gen_estimators(args) -> int:
 
 
 def _cmd_gen_instances(args) -> int:
-    if args.template == "gridworld":
-        domain, problem = gen_gridworld(
-            args.rows, args.cols, args.seed, corner_to_corner=args.corner_to_corner
-        )
-    else:
-        domain, problem = gen_logistics(args.trucks, args.cities, args.packages, args.seed)
+    generator = GENERATORS[args.template]
+    params = inspect.signature(generator).parameters  # the template's own flags
+    domain, problem = generator(**{k: v for k, v in vars(args).items() if k in params})
     os.makedirs(args.out, exist_ok=True)
     domain_path = os.path.join(args.out, "domain.pddl")
     problem_path = os.path.join(args.out, "problem.pddl")

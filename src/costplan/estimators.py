@@ -106,7 +106,9 @@ class EstimatorRegistry:
         started = time.perf_counter()
         try:
             interval, time_ms = self._produce(action_id, level)
-        except EstimatorUnavailableError:
+        except EstimatorUnavailableError as exc:
+            log.warning("action %s level %d: estimator unavailable, rest of its chain "
+                        "skipped: %s", self.task.actions[action_id].name, level, exc)
             if self.real_latency:
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 self.ledger.append(LedgerEntry(action_id, level, elapsed_ms, failed=True))
@@ -139,8 +141,9 @@ class EstimatorRegistry:
     def total_charged_ms(self) -> float:
         return sum(e.time_ms for e in self.ledger)
 
-    def estimated_actions(self) -> set[int]:
-        return {e.action_id for e in self.ledger if not e.failed}
+    def estimated_actions(self) -> frozenset:
+        """Ids of the actions with at least one answered estimator call."""
+        return frozenset(e.action_id for e in self.ledger if not e.failed)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,8 @@ class SyntheticConfig:
     def __post_init__(self):
         if type(self.levels) is not int or self.levels < 1:
             raise ConfigError("levels must be an int >= 1")
+        if not (isinstance(self.cost_range, tuple) and len(self.cost_range) == 2):
+            raise ConfigError(f"cost_range must be a pair of numbers, not {self.cost_range!r}")
         lo, hi = self.cost_range
         for name, value in [("time_scale", self.time_scale), ("base_time_ms", self.base_time_ms),
                             ("width", self.width), ("decay", self.decay),

@@ -251,29 +251,6 @@ def astar_lb(task: PlanningTask, registry: EstimatorRegistry, heuristic) -> tupl
 # ---------------------------------------------------------------------------
 # Planner episodes
 
-def _episode_report(
-    task, registry, mode: str, expansions: int, wall_s: float
-) -> MetricsReport:
-    charged_ms = registry.total_charged_ms()
-    if registry.real_latency:
-        planning_ms = max(0.0, wall_s * 1000.0 - charged_ms)
-    else:
-        planning_ms = expansions * MS_PER_EXPANSION
-    if mode == "offline":
-        a_actual = frozenset(range(task.n_actions))
-    else:
-        a_actual = frozenset(registry.estimated_actions())
-    return MetricsReport(
-        instance=task.name,
-        mode=mode,
-        n=task.n_actions,
-        a_actual=a_actual,
-        calls=tuple(registry.ledger),
-        t_modeling_ms=charged_ms,
-        t_planning_ms=planning_ms,
-    )
-
-
 def _pick_refinement(plan, registry) -> Optional[int]:
     """Widest refinable plan action; ties broken by earliest plan position."""
     best = None
@@ -310,22 +287,25 @@ def _refine_within(plan, registry, budget_ms: float) -> None:
 
 
 def _solve(
-    task: PlanningTask, config: SearchConfig, registry: EstimatorRegistry,
-    mode: str, started: float,
+    task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry], mode: str
 ) -> tuple:
-    """Replan on lower bounds, refining the widest plan action, until a verdict.
+    """One episode, asec or offline: (PlanCertificate, MetricsReport).
 
-    Runs a fresh lower-bound A* after each refinement. One heuristic serves
-    the whole episode: h_max keeps every value the refinement cannot have
-    changed (see ``_HmaxEvaluator``). Memoized estimator results persist
-    across replans, so total invocations are bounded by the total chain
-    length. ``started`` is the episode's ``perf_counter`` start. Each
-    replan logs one DEBUG line on the ``costplan.search`` logger.
+    Offline first invokes every action's final level, which leaves nothing
+    refinable, so A* runs once. Otherwise each replan is a fresh lower-bound
+    A* that refines the plan's widest refinable action, until a verdict. One
+    heuristic serves the episode: h_max keeps every value a refinement cannot
+    have changed (see ``_HmaxEvaluator``). Each replan logs one DEBUG line.
 
     With ``config.refine_budget_ms`` set, the tail refines a found plan within
     that budget (``_refine_within``) and rebuilds its bound, which only narrows;
     the verdict stays, as an uncertified plan has nothing left to refine.
     """
+    started = time.perf_counter()
+    registry = registry or EstimatorRegistry(task)
+    if mode == "offline":
+        for action in task.actions:
+            registry.invoke_final(action.id)  # an unavailable estimator keeps the prior
     heuristic = make_heuristic(config.heuristic, task, registry)
     expansions = 0
     for replan in itertools.count(1):
@@ -338,52 +318,47 @@ def _solve(
             verdict = "no-plan"
         elif certified(lb, ub, config.epsilon):
             verdict = "certified"
+        elif (target := _pick_refinement(plan, registry)) is None:
+            verdict = "uncertified"
         else:
-            target = _pick_refinement(plan, registry)
-            verdict = "uncertified" if target is None else None
-        if verdict is not None:
-            log.debug(
-                "replan %d: plan length %d, cost [%s, %s], ub/lb %s, %d expansions; %s",
-                replan, len(plan or ()), lb, ub, ratio, exp, verdict,
-            )
-            break
+            verdict = None
         log.debug(
-            "replan %d: plan length %d, cost [%s, %s], ub/lb %s, %d expansions; "
-            "refine %s level %d",
-            replan, len(plan), lb, ub, ratio, exp,
-            task.actions[target].name, registry.next_level[target] + 1,
+            "replan %d: plan length %d, cost [%s, %s], ub/lb %s, %d expansions; %s",
+            replan, len(plan or ()), lb, ub, ratio, exp,
+            verdict or f"refine {task.actions[target].name} "
+                       f"level {registry.next_level[target] + 1}",
         )
+        if verdict is not None:
+            break
         registry.invoke_next(target)
     if plan is not None and config.refine_budget_ms is not None:
         _refine_within(plan, registry, config.refine_budget_ms)
         bound = registry.plan_interval(plan)
         log.debug("post-search cost [%s, %s]; %s", bound.lb, bound.ub, verdict)
-    cert = PlanCertificate(plan, bound.lb, bound.ub, config.epsilon, verdict)
-    wall = time.perf_counter() - started
-    return cert, _episode_report(task, registry, mode, expansions, wall)
+    charged_ms = registry.total_charged_ms()
+    if registry.real_latency:
+        planning_ms = max(0.0, (time.perf_counter() - started) * 1000.0 - charged_ms)
+    else:
+        planning_ms = expansions * MS_PER_EXPANSION
+    report = MetricsReport(
+        instance=task.name, mode=mode, n=task.n_actions, a_actual=registry.estimated_actions(),
+        calls=tuple(registry.ledger), t_modeling_ms=charged_ms, t_planning_ms=planning_ms,
+    )
+    return PlanCertificate(plan, bound.lb, bound.ub, config.epsilon, verdict), report
 
 
 def asec(
     task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry] = None
 ) -> tuple:
-    """A* with synchronous (on-demand) estimation of costs."""
-    started = time.perf_counter()
-    return _solve(task, config, registry or EstimatorRegistry(task), "asec", started)
+    """A* with synchronous (on-demand) estimation: refine plan actions as needed."""
+    return _solve(task, config, registry, "asec")
 
 
 def astar_offline(
     task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry] = None
 ) -> tuple:
-    """Conservative baseline: best estimate for every action, then plain A*.
-
-    Every chain ends fully invoked or skipped, so nothing is refinable
-    and the shared loop runs A* exactly once.
-    """
-    started = time.perf_counter()
-    registry = registry or EstimatorRegistry(task)
-    for action in task.actions:
-        registry.invoke_final(action.id)  # an unavailable estimator keeps the prior
-    return _solve(task, config, registry, "offline", started)
+    """Conservative baseline: every action's final estimate first, then one A*."""
+    return _solve(task, config, registry, "offline")
 
 
 #: Mode name -> episode runner; the one vocabulary of the CLI, suites and reports.

@@ -214,6 +214,7 @@ def test_bench_suite_errors_exit_2(capsys, tmp_path):
         {"synthetic": 5}, {"synthetic": {}, "epsilons": 1.5}, {"synthetic": {}, "epsilons": ["x"]},
         {"synthetic": {}, "epsilons": [math.nan]}, {"synthetic": {}, "epsilons": []},
         {"synthetic": {}, "modes": []}, {"synthetic": {"base_time_ms": math.nan}},
+        {"synthetic": {"cost_range": 5}}, {"synthetic": {"cost_range": [1]}},
     )
     cases = [({"entries": [{"generate": grid, **bad}]}, "suite entry 0: ") for bad in bad_entries]
     cases += [({"entries": [5]}, "suite entry 0: "), ([], "suite: "), ({"entries": {}}, "suite: ")]

@@ -1,11 +1,19 @@
 import csv
 import json
 import os
+import re
+import select
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from costplan.cli import main
+from costplan.intervals import CostInterval
+from costplan.remote import RemoteEstimatorClient
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -235,3 +243,39 @@ def test_plan_with_remote_endpoint(capsys, drive_paths):
         server.server_close()
     assert code == 0
     assert "verdict: certified" in out
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--endpoint", "127.0.0.1:99999", "port must be an integer in 1-65535, not '99999'"),
+    ("--endpoint", "127.0.0.1:0", "port must be an integer in 1-65535, not '0'"),
+    ("--endpoint", "127.0.0.1", "endpoint must be HOST:PORT, not '127.0.0.1'"),
+    ("--port", "99999", "port must be an integer in 0-65535, not '99999'"),
+    ("--port", "-1", "port must be an integer in 0-65535, not '-1'"),
+])
+def test_bad_port_is_a_usage_error(capsys, drive_paths, flag, value, message):
+    if flag == "--endpoint":
+        argv = plan_args(drive_paths, flag, value)
+    else:
+        argv = ["serve-estimators", "--manifest", drive_paths["manifest"], flag, value]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: {message}\n")
+
+
+def test_serve_estimators_answers_a_client(drive_paths):
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    argv = [sys.executable, "-u", "-m", "costplan.cli", "serve-estimators",
+            "--manifest", drive_paths["manifest"], "--port", "0"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env) as proc:
+        try:
+            assert select.select([proc.stdout], [], [], 30)[0], "no banner within 30 s"
+            banner = proc.stdout.readline()
+            match = re.fullmatch(r"serving 2 chains on (.+):(\d+)\n", banner)
+            assert match, banner
+            with RemoteEstimatorClient(match[1], int(match[2])) as client:
+                assert client.estimate("drive a b", 1) == (CostInterval(5.0, 10.0), 1.0)
+        finally:
+            proc.terminate()
+            proc.communicate(timeout=10)

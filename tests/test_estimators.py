@@ -68,7 +68,7 @@ class TestRegistry:
         assert not reg.refinable(0)
 
     @pytest.mark.parametrize("real_latency", [False, True])
-    def test_unavailable_estimator_skips_the_rest_of_its_chain(self, real_latency):
+    def test_unavailable_estimator_skips_the_rest_of_its_chain(self, caplog, real_latency):
         class DownServer:
             def estimate(self, name, level):
                 raise EstimatorUnavailableError("down")
@@ -78,6 +78,10 @@ class TestRegistry:
         assert not reg.refinable(0)
         assert reg.next_level[0] == len(reg.task.chains[0]) == 2
         assert reg.intervals[0] == CostInterval(0.0, INF) and reg.raised == []
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [(
+            "costplan.estimators", "WARNING",
+            "action a level 1: estimator unavailable, rest of its chain skipped: down",
+        )]
         if real_latency:
             assert [(e.action_id, e.level, e.failed) for e in reg.ledger] == [(0, 1, True)]
         else:
@@ -85,7 +89,7 @@ class TestRegistry:
         with pytest.raises(ChainExhaustedError):
             reg.invoke_next(0)
         assert reg.invoke_final(0) == CostInterval(0.0, INF)  # skipped, not retried
-        assert len(reg.ledger) == int(real_latency)
+        assert len(reg.ledger) == int(real_latency) and len(caplog.records) == 1
 
     def test_lbs_track_intervals(self):
         reg = EstimatorRegistry(two_level_task())
@@ -159,6 +163,8 @@ def test_invalid_configs_rejected():
         dict(time_scale=0.5),
         dict(width=-1.0),
         dict(cost_range=(5.0, 2.0)),
+        dict(cost_range=5),
+        dict(cost_range=(1,)),
         dict(time_scale=math.nan),
         dict(width=math.nan),
         dict(base_time_ms=math.nan),

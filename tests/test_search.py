@@ -517,6 +517,26 @@ def test_offline_searches_once_and_never_refines(monkeypatch):
     assert [(e.action_id, e.level) for e in report.calls] == [(0, 2)]
 
 
+def test_offline_a_actual_counts_only_estimated_actions():
+    class DownForB:  # a remote estimator whose chain for "b" is unavailable
+        def estimate(self, name, level):
+            if name == "b":
+                raise EstimatorUnavailableError("b is down")
+            return CostInterval(3.0, 3.0), 5.0
+
+    task = make_task(
+        [("a", {0}, {1}, set(), [(5.0, (3.0, 3.0))]),
+         ("b", {1}, {2}, set(), [(5.0, (2.0, 2.0))]),
+         ("c", {2}, {3}, set(), [])],  # prior-only
+        goal={3},
+    )
+    registry = EstimatorRegistry(task, remote=DownForB())
+    cert, report = astar_offline(task, SearchConfig(epsilon=1.0), registry)
+    assert (cert.plan, cert.verdict) == ((0, 1, 2), "uncertified")
+    assert [(e.action_id, e.level) for e in report.calls] == [(0, 1)]
+    assert (report.a_actual, report.n, report.t_avg_ms) == (frozenset({0}), 3, 5.0)
+
+
 def test_offline_equals_asec_with_single_exact_levels():
     for index in range(6):
         task = suite_instance(
@@ -597,6 +617,20 @@ def test_post_search_refinement_logged_at_debug(caplog, drive_task):
         "post-search cost [7.0, 7.0]; certified",
     ]
     assert (cert.lower, cert.upper) == (7.0, 7.0)
+
+
+def test_episode_debug_transcript_pinned(caplog, drive_task):
+    # refines twice, certifies, then runs the post-search tail with nothing left
+    caplog.set_level(logging.DEBUG, logger="costplan.search")
+    asec(drive_task, SearchConfig(epsilon=1.0, refine_budget_ms=500.0))
+    assert [r.getMessage() for r in caplog.records if r.name == "costplan.search"] == [
+        "replan 1: plan length 1, cost [0.0, inf], ub/lb inf, 1 expansions; "
+        "refine drive a b level 1",
+        "replan 2: plan length 1, cost [5.0, 10.0], ub/lb 2.0, 1 expansions; "
+        "refine drive a b level 2",
+        "replan 3: plan length 1, cost [7.0, 7.0], ub/lb 1.0, 1 expansions; certified",
+        "post-search cost [7.0, 7.0]; certified",
+    ]
 
 
 # ---------------------------------------------------------------------------
