@@ -5,14 +5,7 @@ from .task import GroundAction, PlanningTask, apply, facts_of, is_goal, mask_of
 from .manifest import EstimatorManifest, load_manifest, parse_manifest
 from .pddl import ground, parse_domain, parse_problem
 from .estimators import EstimatorRegistry, SyntheticConfig, generate_synthetic
-from .search import (
-    PlanCertificate,
-    SearchConfig,
-    asec,
-    astar_offline,
-    hmax,
-    oracle_optimal,
-)
+from .search import PlanCertificate, SearchConfig, hmax, oracle_optimal, solve
 from .metrics import Comparison, MetricsReport, compare, emit_report, t_offline_modeling
 
 __all__ = [
@@ -21,8 +14,7 @@ __all__ = [
     "EstimatorManifest", "load_manifest", "parse_manifest",
     "ground", "parse_domain", "parse_problem",
     "EstimatorRegistry", "SyntheticConfig", "generate_synthetic",
-    "PlanCertificate", "SearchConfig", "asec", "astar_offline", "hmax",
-    "oracle_optimal",
+    "PlanCertificate", "SearchConfig", "hmax", "oracle_optimal", "solve",
     "Comparison", "MetricsReport", "compare", "emit_report", "t_offline_modeling",
 ]
 

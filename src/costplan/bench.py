@@ -42,7 +42,7 @@ from .pddl import (
     parse_domain,
     parse_problem,
 )
-from .search import MODES, SearchConfig
+from .search import MODES, SearchConfig, solve
 
 log = logging.getLogger("costplan.bench")
 
@@ -217,19 +217,17 @@ def _entry_from_json(i: int, raw: dict) -> SuiteEntry:
     if not seeds or any(type(seed) is not int for seed in seeds):
         raise ConfigError(f"suite entry {i}: seeds must be a nonempty list of integers")
     heuristic = raw.get("heuristic", "hmax")
+    modes = tuple(raw.get("modes", MODES))
     try:
         epsilons = tuple(as_number(e, "epsilon") for e in raw.get("epsilons", [1.0]))
         for epsilon in epsilons:
-            SearchConfig(epsilon, heuristic)  # the one epsilon and heuristic rule
+            for mode in modes:
+                SearchConfig(epsilon, heuristic, mode=mode)  # the one rule for all three
     except (ManifestError, ValueError) as exc:
         raise ConfigError(f"suite entry {i}: {exc}") from None
-    modes = tuple(raw.get("modes", list(MODES)))
     if not epsilons or not modes:
         empty = "modes" if epsilons else "epsilons"
         raise ConfigError(f"suite entry {i}: {empty} must not be empty")
-    for mode in modes:
-        if not isinstance(mode, str) or mode not in MODES:
-            raise ConfigError(f"suite entry {i}: unknown mode {mode!r}")
     synthetic = None
     if "synthetic" in raw:
         if not isinstance(raw["synthetic"], dict):
@@ -312,9 +310,9 @@ def run_suite(suite, outdir) -> tuple:
             for epsilon in entry.epsilons:
                 reports = {}
                 for mode in entry.modes:
-                    config = SearchConfig(epsilon=epsilon, heuristic=entry.heuristic)
+                    config = SearchConfig(epsilon, entry.heuristic, mode=mode)
                     try:
-                        cert, report = MODES[mode](task, config)
+                        cert, report = solve(task, config)
                     except Exception as exc:
                         where = f"{instance}, epsilon {epsilon}, mode {mode}"
                         status = _error_status("run", exc, where)

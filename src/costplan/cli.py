@@ -22,7 +22,7 @@ from .manifest import load_manifest, manifest_to_json
 from .metrics import RunRecord, compare, emit_report
 from .pddl import ground, parse_domain, parse_problem, print_domain, print_problem
 from .remote import MockEstimatorServer, RemoteEstimatorClient
-from .search import HEURISTICS, MODES, SearchConfig, asec, astar_offline
+from .search import HEURISTICS, MODES, SearchConfig, solve
 
 
 def _port(text: str, low: int = 0) -> int:
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = subs.add_parser("plan", help="solve one instance")
     _add_plan_flags(plan)
-    plan.add_argument("--mode", choices=list(MODES), default="asec")
+    plan.add_argument("--mode", choices=MODES, default="asec")
     plan.add_argument("--refine-budget-ms", type=float, default=None)
 
     comp = subs.add_parser("compare", help="run both modes and compare accounting")
@@ -139,10 +139,10 @@ def _print_certificate(task, cert, report):
 
 
 def _cmd_plan(args) -> int:
-    config = SearchConfig(args.epsilon, args.heuristic, args.refine_budget_ms)
+    config = SearchConfig(args.epsilon, args.heuristic, args.refine_budget_ms, args.mode)
     task = _load_task(args)
     with _remote(args) as remote:
-        cert, report = MODES[args.mode](task, config, _registry(task, args, remote))
+        cert, report = solve(task, config, _registry(task, args, remote))
     _print_certificate(task, cert, report)
     if args.out:
         paths = emit_report([RunRecord.from_episode(cert, report, task)], args.out)
@@ -151,11 +151,11 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = SearchConfig(epsilon=args.epsilon, heuristic=args.heuristic)
+    configs = [SearchConfig(args.epsilon, args.heuristic, mode=mode) for mode in MODES]
     task = _load_task(args)
     with _remote(args) as remote:  # one client serves both registries
-        cert_dyn, rep_dyn = asec(task, config, _registry(task, args, remote))
-        cert_off, rep_off = astar_offline(task, config, _registry(task, args, remote))
+        (cert_dyn, rep_dyn), (cert_off, rep_off) = [
+            solve(task, config, _registry(task, args, remote)) for config in configs]
     comparison = compare(rep_dyn, rep_off)
     print(f"dynamic : modeling {rep_dyn.t_modeling_ms:.6g} ms, "
           f"planning {rep_dyn.t_planning_ms:.6g} ms, verdict {cert_dyn.verdict}")

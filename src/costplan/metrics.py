@@ -17,7 +17,7 @@ class MetricsReport:
     """Estimator-call ledger and derived quantities for one episode."""
 
     instance: str
-    mode: str  # a key of search.MODES: "asec" | "offline"
+    mode: str  # one of search.MODES: "asec" | "offline"
     n: int
     a_actual: frozenset  # action ids estimated during the episode
     calls: tuple  # of LedgerEntry
@@ -98,12 +98,6 @@ class RunRecord:
     @classmethod
     def from_episode(cls, cert, report, task) -> "RunRecord":
         """Row for a finished episode's PlanCertificate and MetricsReport."""
-        true_cost = None
-        if cert.plan is not None and task.true_costs is not None:
-            try:
-                true_cost = task.true_plan_cost(cert.plan)
-            except KeyError:
-                true_cost = None
         return cls(
             instance=report.instance,
             mode=report.mode,
@@ -117,7 +111,7 @@ class RunRecord:
             plan_lb=None if cert.plan is None else cert.lower,
             plan_ub=None if cert.plan is None else cert.upper,
             verdict=cert.verdict,
-            true_plan_cost=true_cost,
+            true_plan_cost=None if cert.plan is None else task.true_plan_cost(cert.plan),
         )
 
 

@@ -35,7 +35,9 @@ class RemoteEstimatorClient:
     have closed it since) reconnects once and resends: a lookup is idempotent.
     A failure on a fresh connection, or a timeout, raises at once. Any failure
     or malformed reply drops the connection, so a late reply is never read as
-    the answer to the next call; an {"error": ...} reply keeps it.
+    the answer to the next call; an {"error": ...} reply keeps it. Once a
+    connect fails, every later call raises at once without connecting: a
+    dead endpoint costs one timeout, not one per action.
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 10.0):
@@ -43,6 +45,7 @@ class RemoteEstimatorClient:
         self.port = port
         self.timeout_s = timeout_s
         self._sock = None
+        self._unreachable = None  # the failed connect's message, once one fails
 
     def __enter__(self):
         return self
@@ -57,6 +60,8 @@ class RemoteEstimatorClient:
 
     def estimate(self, action_name: str, level: int) -> tuple[CostInterval, float]:
         """Interval plus the server-reported time_ms."""
+        if self._unreachable is not None:
+            raise EstimatorUnavailableError(f"estimator endpoint unreachable: {self._unreachable}")
         request = (json.dumps({"action": action_name, "level": level}) + "\n").encode("utf-8")
         while True:  # at most twice: a retry always runs on a fresh connection
             reused = self._sock is not None
@@ -88,7 +93,11 @@ class RemoteEstimatorClient:
     def _roundtrip(self, request: bytes) -> bytes:
         """Send one request line and read one reply line; EOF is a ConnectionError."""
         if self._sock is None:
-            self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout_s)
+            try:
+                self._sock = socket.create_connection((self.host, self.port), self.timeout_s)
+            except OSError as exc:
+                self._unreachable = str(exc)
+                raise
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.sendall(request)
         line = b""

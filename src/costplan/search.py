@@ -32,19 +32,25 @@ MS_PER_EXPANSION = 0.01
 
 HEURISTICS = ("blind", "hmax")
 
+#: Episode modes: the one vocabulary of the CLI, suites and reports.
+MODES = ("asec", "offline")
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """What an episode certifies and how it searches; the one check of both.
+    """What an episode certifies, how it searches and in which mode; one check of all.
 
     ``epsilon`` (>= 1; inf accepts any plan) is the ub/lb ratio to certify.
-    ``refine_budget_ms``, when set, lets ``_solve`` keep refining the plan
+    ``refine_budget_ms``, when set, lets ``solve`` keep refining the plan
     after its verdict for at most that many ledger-charged ms; None stops there.
+    ``mode`` is "asec" (online modeling: refine plan actions on demand) or
+    "offline" (every action's final estimate before one search).
     """
 
     epsilon: float = 1.0
     heuristic: str = "hmax"
     refine_budget_ms: Optional[float] = None
+    mode: str = "asec"
 
     def __post_init__(self):
         if not self.epsilon >= 1.0:  # NaN fails this too
@@ -53,6 +59,8 @@ class SearchConfig:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
         if self.refine_budget_ms is not None and math.isnan(self.refine_budget_ms):
             raise ValueError("refine budget must not be nan")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -286,16 +294,18 @@ def _refine_within(plan, registry, budget_ms: float) -> None:
                   registry.task.actions[target].name, level + 1, charged, spent, budget_ms)
 
 
-def _solve(
-    task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry], mode: str
+def solve(
+    task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry] = None
 ) -> tuple:
-    """One episode, asec or offline: (PlanCertificate, MetricsReport).
+    """One episode in ``config.mode``: (PlanCertificate, MetricsReport).
 
-    Offline first invokes every action's final level, which leaves nothing
-    refinable, so A* runs once. Otherwise each replan is a fresh lower-bound
-    A* that refines the plan's widest refinable action, until a verdict. One
-    heuristic serves the episode: h_max keeps every value a refinement cannot
-    have changed (see ``_HmaxEvaluator``). Each replan logs one DEBUG line.
+    ``registry`` defaults to a fresh local one; pass one to estimate remotely
+    or under ``real_latency``. Offline first invokes every action's final
+    level, which leaves nothing refinable, so A* runs once. Otherwise each
+    replan is a fresh lower-bound A* that refines the plan's widest refinable
+    action, until a verdict. One heuristic serves the episode: h_max keeps
+    every value a refinement cannot have changed (see ``_HmaxEvaluator``).
+    Each replan logs one DEBUG line.
 
     With ``config.refine_budget_ms`` set, the tail refines a found plan within
     that budget (``_refine_within``) and rebuilds its bound, which only narrows;
@@ -303,7 +313,7 @@ def _solve(
     """
     started = time.perf_counter()
     registry = registry or EstimatorRegistry(task)
-    if mode == "offline":
+    if config.mode == "offline":
         for action in task.actions:
             registry.invoke_final(action.id)  # an unavailable estimator keeps the prior
     heuristic = make_heuristic(config.heuristic, task, registry)
@@ -341,28 +351,10 @@ def _solve(
     else:
         planning_ms = expansions * MS_PER_EXPANSION
     report = MetricsReport(
-        instance=task.name, mode=mode, n=task.n_actions, a_actual=registry.estimated_actions(),
-        calls=tuple(registry.ledger), t_modeling_ms=charged_ms, t_planning_ms=planning_ms,
+        instance=task.name, mode=config.mode, n=task.n_actions, calls=tuple(registry.ledger),
+        a_actual=registry.estimated_actions(), t_modeling_ms=charged_ms, t_planning_ms=planning_ms,
     )
     return PlanCertificate(plan, bound.lb, bound.ub, config.epsilon, verdict), report
-
-
-def asec(
-    task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry] = None
-) -> tuple:
-    """A* with synchronous (on-demand) estimation: refine plan actions as needed."""
-    return _solve(task, config, registry, "asec")
-
-
-def astar_offline(
-    task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry] = None
-) -> tuple:
-    """Conservative baseline: every action's final estimate first, then one A*."""
-    return _solve(task, config, registry, "offline")
-
-
-#: Mode name -> episode runner; the one vocabulary of the CLI, suites and reports.
-MODES = {"asec": asec, "offline": astar_offline}
 
 
 # ---------------------------------------------------------------------------

@@ -95,11 +95,12 @@ class PlanningTask:
             is_goal[f] = True
         return Relaxation(free, unary, multi, counts, multi_adds, pres, goal_facts, is_goal)
 
-    def true_plan_cost(self, plan) -> float:
-        """Sum of hidden true costs along a plan (test/oracle use)."""
-        if self.true_costs is None:
-            raise KeyError("task has no hidden true costs")
-        return sum(self.true_costs[a] for a in plan)
+    def true_plan_cost(self, plan) -> Optional[float]:
+        """Sum of hidden true costs along a plan; None when a step has none."""
+        costs = self.true_costs
+        if costs is None or not all(a in costs for a in plan):
+            return None
+        return sum(costs[a] for a in plan)
 
 
 class Relaxation(NamedTuple):

@@ -5,7 +5,7 @@ import pytest
 
 from costplan.manifest import load_manifest
 from costplan.pddl import ground, parse_domain, parse_problem
-from costplan.search import SearchConfig, asec, oracle_optimal
+from costplan.search import SearchConfig, oracle_optimal, solve
 
 from helpers import acceptance_instance
 
@@ -44,6 +44,6 @@ def suite_runs():
         task = acceptance_instance(index, seed=index)
         c_star = oracle_optimal(task, state_bound=10**4)
         for eps in ACCEPTANCE_EPSILONS:
-            cert, report = asec(task, SearchConfig(epsilon=eps))
+            cert, report = solve(task, SearchConfig(epsilon=eps))
             runs.append((task, eps, c_star, cert, report))
     return runs, time.perf_counter() - started

@@ -28,7 +28,7 @@ from costplan.pddl import (
     ground,
 )
 from costplan.remote import MockEstimatorServer, RemoteEstimatorClient
-from costplan.search import SearchConfig, asec, astar_offline, oracle_optimal
+from costplan.search import SearchConfig, oracle_optimal, solve
 
 from helpers import make_task
 
@@ -61,7 +61,7 @@ def test_criterion_3_incompleteness_exhibit():
         [("only", {0}, {1}, set(), [(1.0, (1.0, 2.0))])],
         goal={1},
     )
-    cert, _ = asec(task, SearchConfig(epsilon=1.5))
+    cert, _ = solve(task, SearchConfig(epsilon=1.5))
     assert cert.verdict == "uncertified"
     assert cert.plan == (0,)
     assert (cert.lower, cert.upper) == (1.0, 2.0)
@@ -108,7 +108,7 @@ def test_criterion_6_modeling_time_savings():
         domain, problem = gen_gridworld(10, 10, corner_to_corner=True)
         manifest = synthetic_manifest_for(domain, problem, seed, config)
         task = ground(domain, problem, manifest, name=f"g10-s{seed}")
-        cert, report = asec(task, SearchConfig(epsilon=1.5))
+        cert, report = solve(task, SearchConfig(epsilon=1.5))
         t_off = t_offline_modeling(manifest)
         assert len(report.a_actual) < report.n
         assert report.t_modeling_ms < t_off
@@ -123,8 +123,8 @@ def test_criterion_7_offline_baseline_equivalence():
     for index in range(30):
         task = _instance_with_config(index, config)
         c_star = oracle_optimal(task, state_bound=10**4)
-        cert_dyn, _ = asec(task, SearchConfig(epsilon=1.0))
-        cert_off, _ = astar_offline(task, SearchConfig(epsilon=1.0))
+        cert_dyn, _ = solve(task, SearchConfig(epsilon=1.0))
+        cert_off, _ = solve(task, SearchConfig(epsilon=1.0, mode="offline"))
         cost_dyn = task.true_plan_cost(cert_dyn.plan)
         cost_off = task.true_plan_cost(cert_off.plan)
         assert abs(cost_dyn - c_star) <= 1e-9
@@ -182,12 +182,12 @@ def test_criterion_9_remote_matches_local():
         domain, problem = gen_gridworld(rng.randint(3, 4), rng.randint(3, 4), seed=index)
         manifest = synthetic_manifest_for(domain, problem, index, SUITE_CONFIG)
         task = ground(domain, problem, manifest, name=f"acc9-{index}")
-        local_cert, _ = asec(task, SearchConfig(epsilon=1.2))
+        local_cert, _ = solve(task, SearchConfig(epsilon=1.2))
         server = MockEstimatorServer(manifest)
         server.start_background()
         try:
             with RemoteEstimatorClient("127.0.0.1", server.port) as client:
-                remote_cert, _ = asec(
+                remote_cert, _ = solve(
                     task, SearchConfig(epsilon=1.2), EstimatorRegistry(task, remote=client)
                 )
         finally:

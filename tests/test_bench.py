@@ -58,6 +58,14 @@ def test_logistics_counts_match_enumeration():
     assert task.n_actions == drives + loads + unloads
 
 
+def test_logistics_without_packages_keeps_the_first_truck_as_goal():
+    domain, problem = gen_logistics(2, 3, 0, seed=0)
+    assert problem.goal == problem.init[:1]
+    task = grounded(domain, problem)
+    assert task.n_actions == 2 * 3 * 2  # drives only
+    assert task.init & task.goal == task.goal
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_generated_instances_solvable(seed):
     for maker in (
@@ -202,6 +210,8 @@ def test_suite_validation():
             _entry_from_json(0, {"domain": "d", "problem": "p", "manifest": "m", key: []})
     with pytest.raises(ConfigError, match="entry 0: synthetic must be an object"):
         _entry_from_json(0, {"domain": "d", "problem": "p", "synthetic": 5})
+    with pytest.raises(ConfigError, match="entry 0: need 'manifest' or 'synthetic'"):
+        _entry_from_json(0, {"domain": "d", "problem": "p"})
 
 
 def test_bench_suite_errors_exit_2(capsys, tmp_path):
@@ -290,17 +300,17 @@ def test_ground_errors_become_error_rows(tmp_path, drive_paths):
 
 
 def test_unexpected_run_exception_becomes_one_error_row(caplog, capsys, monkeypatch, tmp_path):
+    from costplan import bench
     from costplan.cli import main
-    from costplan.search import MODES
 
-    offline = MODES["offline"]
+    solve = bench.solve
 
     def flaky(task, config):
-        if task.name.endswith("#s1"):
+        if task.name.endswith("#s1") and config.mode == "offline":
             raise RuntimeError("estimator backend exploded")
-        return offline(task, config)
+        return solve(task, config)
 
-    monkeypatch.setitem(MODES, "offline", flaky)
+    monkeypatch.setattr(bench, "solve", flaky)
     dpath, ppath = write_instance(tmp_path)
     path = write_suite(tmp_path, [{
         "name": "g3", "domain": dpath, "problem": ppath, "synthetic": {},

@@ -169,6 +169,7 @@ def test_invalid_configs_rejected():
         dict(width=math.nan),
         dict(base_time_ms=math.nan),
         dict(base_time_ms=math.inf),
+        dict(base_time_ms=-1),
         dict(time_scale=math.inf),
         dict(width=math.inf),
         dict(cost_range=(1.0, math.inf)),

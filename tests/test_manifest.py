@@ -101,12 +101,20 @@ DRIVE = {"action": "drive a b"}
          r"level 1: lb must be a finite number, got nan"),
         ({"actions": [{**DRIVE, "estimators": [{"time_ms": 1, "interval": [None, 1]}]}]},
          r"level 1: lb must be a finite number, got None"),
+        ([], "manifest root must be an object"),
+        ({"actions": [{**DRIVE, "estimators": [{"time_ms": 1, "interval": [0]}]}]},
+         r"entry 0 \('drive a b'\), level 1: interval must be a \[lb, ub\] pair"),
+        ({"actions": [{**DRIVE, "true_cost": 20, "prior": [0, 10]}]},
+         r"entry 0 \('drive a b'\): true cost 20.0 outside prior"),
+        ({"actions": [{**DRIVE, "estimators": [{"time_ms": -1, "interval": [0, 1]}]}]},
+         r"entry 0 \('drive a b'\), level 1: negative time_ms"),
     ],
     ids=[
         "default-list", "actions-object", "action-list", "estimators-int", "level-int", "time-str",
         "time-inf", "true-cost-str", "true-cost-nan", "true-cost-bool", "true-cost-huge",
         "prior-lb-bool", "prior-ub-str", "default-prior-ub-infinity-str", "interval-ub-inf",
-        "interval-lb-nan", "interval-lb-null",
+        "interval-lb-nan", "interval-lb-null", "root-list", "interval-one-bound",
+        "true-cost-outside-prior", "time-negative",
     ],
 )
 def test_malformed_shapes_rejected(doc, message):

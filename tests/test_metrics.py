@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,9 @@ from costplan.metrics import (
     emit_report,
     t_offline_modeling,
 )
+from costplan.search import SearchConfig, solve
+
+from helpers import make_task
 
 
 def report(mode, t_mod, t_plan, instance="task", n=10, a_actual=frozenset({0})):
@@ -124,6 +128,19 @@ def test_emit_single_run(tmp_path):
     assert rows[0]["instance"] == "i"
     assert int(rows[0]["a_actual"]) <= int(rows[0]["n"])
     assert rows[0]["status"] == "ok"
+
+
+def test_episode_row_without_hidden_cost_or_finite_bound(tmp_path):
+    # "a" has a hidden cost; "b" has none and no estimator, so the plan's ub stays inf
+    task = make_task([("a", {0}, {1}, {0}, []), ("b", {1}, {2}, {1}, [])], goal={2},
+                     priors={0: (2.0, 2.0), 1: (1.0, math.inf)}, true_costs={0: 2.0})
+    cert, report = solve(task, SearchConfig(epsilon=1.5))
+    assert (cert.plan, cert.verdict) == ((0, 1), "uncertified")
+    csv_path, _ = emit_report([RunRecord.from_episode(cert, report, task)], tmp_path / "out")
+    with open(csv_path) as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["plan_lb"], row["plan_ub"], row["true_plan_cost"]) == ("3.0", "inf", "")
+    assert task.true_plan_cost((0,)) == 2.0 and task.true_plan_cost(()) == 0
 
 
 def test_emit_comparison_block(tmp_path):

@@ -41,6 +41,8 @@ def test_parse_minimal_domain():
     assert len(domain.actions) == 1
     assert domain.actions[0].pre == (Atom("p", ()),)
     assert domain.actions[0].delete == (Atom("p", ()),)
+    single = parse_domain(MINIMAL.replace(":effect (and (q) (not (p)))", ":effect (q)"))
+    assert (single.actions[0].add, single.actions[0].delete) == ((Atom("q", ()),), ())
 
 
 def test_unsupported_requirement_rejected():

@@ -15,7 +15,7 @@ from costplan.intervals import CostInterval
 from costplan.manifest import load_manifest
 from costplan.pddl import ground
 from costplan.remote import MockEstimatorServer, RemoteEstimatorClient
-from costplan.search import SearchConfig, asec, astar_offline
+from costplan.search import SearchConfig, solve
 
 from helpers import make_task
 
@@ -63,8 +63,9 @@ def raw_request(server, payload: str) -> dict:
 
 
 def test_wire_format(drive_server):
-    reply = raw_request(drive_server, json.dumps({"action": "drive a b", "level": 1}))
-    assert reply == {"lb": 5.0, "ub": 10.0, "time_ms": 1.0}
+    request = json.dumps({"action": "drive a b", "level": 1})
+    for payload in (request, "\n" + request):  # a blank line gets no reply
+        assert raw_request(drive_server, payload) == {"lb": 5.0, "ub": 10.0, "time_ms": 1.0}
 
 
 def test_unknown_action_is_error_reply(drive_server):
@@ -115,8 +116,9 @@ def test_client_unreachable_endpoint(monkeypatch):
 
     monkeypatch.setattr(socket, "create_connection", counting_connect)
     with RemoteEstimatorClient("127.0.0.1", 1, timeout_s=0.2) as client:
-        with pytest.raises(EstimatorUnavailableError, match="unreachable"):
-            client.estimate("drive a b", 1)
+        for level in (1, 2):  # the second call fails without connecting again
+            with pytest.raises(EstimatorUnavailableError, match="unreachable"):
+                client.estimate("drive a b", level)
     assert attempts == [("127.0.0.1", 1)]
 
 
@@ -217,9 +219,10 @@ class EchoReplyHandler(socketserver.StreamRequestHandler):
     '{"lb": 1, "ub": 9, "time_ms": NaN}',
     '{"lb": 1, "ub": 9, "time_ms": -50}',
     "[" * 200000 + "]" * 200000,
+    "[1, 9, 0]",
 ], ids=[
     "bool-and-strings", "time-str", "ub-infinity-str", "ub-infinity", "time-nan-str", "time-nan",
-    "time-negative", "deep-nesting",
+    "time-negative", "deep-nesting", "not-an-object",
 ])
 def test_bad_number_reply_is_malformed(drive_paths, reply):
     server = CountingServer(load_manifest(drive_paths["manifest"]), EchoReplyHandler)
@@ -263,7 +266,7 @@ def test_unavailable_treated_as_chain_exhausted(drive_task, drive_server):
             raise EstimatorUnavailableError("down")
 
     registry = EstimatorRegistry(drive_task, remote=NoServer())
-    cert, report = asec(drive_task, SearchConfig(epsilon=1.5), registry)
+    cert, report = solve(drive_task, SearchConfig(epsilon=1.5), registry)
     assert cert.verdict == "uncertified"
     assert report.calls == ()
 
@@ -276,7 +279,7 @@ def test_real_latency_charges_measured_remote_time(drive_task):
             return CostInterval(7.0, 7.0), 1.0
 
     registry = EstimatorRegistry(drive_task, remote=SlowServer(), real_latency=True)
-    cert, report = astar_offline(drive_task, SearchConfig(epsilon=1.0), registry)
+    cert, report = solve(drive_task, SearchConfig(epsilon=1.0, mode="offline"), registry)
     assert cert.verdict == "certified"
     assert len(report.calls) == drive_task.n_actions
     assert all(entry.time_ms >= 20.0 for entry in report.calls)
@@ -291,7 +294,7 @@ def test_real_latency_charges_unavailable_calls_as_modeling(drive_task):
             raise EstimatorUnavailableError("down")
 
     registry = EstimatorRegistry(drive_task, remote=FailingServer(), real_latency=True)
-    cert, report = astar_offline(drive_task, SearchConfig(epsilon=1.0), registry)
+    cert, report = solve(drive_task, SearchConfig(epsilon=1.0, mode="offline"), registry)
     assert cert.verdict == "uncertified"  # the priors are kept
     assert report.t_modeling_ms == registry.total_charged_ms() >= 20.0 * drive_task.n_actions
     assert report.t_planning_ms < report.t_modeling_ms / 2
@@ -312,7 +315,7 @@ def test_real_latency_refine_budget_counts_measured_time():
             return task.chains[0][level - 1].interval, 1.0
 
     registry = EstimatorRegistry(task, remote=SlowServer(), real_latency=True)
-    refined, _ = asec(task, SearchConfig(epsilon=float("inf"), refine_budget_ms=5.0), registry)
+    refined, _ = solve(task, SearchConfig(epsilon=float("inf"), refine_budget_ms=5.0), registry)
     assert len(registry.ledger) == 1  # the first call spent the budget
     assert registry.ledger[0].time_ms >= 30.0
     assert (refined.lower, refined.upper) == (5.0, 10.0)
@@ -325,10 +328,10 @@ def test_remote_matches_local_execution():
     server = MockEstimatorServer(manifest)
     server.start_background()
     try:
-        local_cert, local_report = asec(task, SearchConfig(epsilon=1.2))
+        local_cert, local_report = solve(task, SearchConfig(epsilon=1.2))
         with RemoteEstimatorClient("127.0.0.1", server.port) as client:
             registry = EstimatorRegistry(task, remote=client)
-            remote_cert, remote_report = asec(task, SearchConfig(epsilon=1.2), registry)
+            remote_cert, remote_report = solve(task, SearchConfig(epsilon=1.2), registry)
     finally:
         server.shutdown()
         server.server_close()

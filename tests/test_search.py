@@ -21,12 +21,11 @@ from costplan.metrics import RunRecord, emit_report
 from costplan.pddl import ground
 from costplan.search import (
     SearchConfig,
-    asec,
     astar_lb,
-    astar_offline,
     hmax,
     make_heuristic,
     oracle_optimal,
+    solve,
 )
 from costplan.task import is_goal, mask_of
 
@@ -223,12 +222,12 @@ def test_persistent_hmax_equals_fresh_after_each_refinement(build):
 @pytest.mark.parametrize("eps", [1.0, 1.5])
 def test_asec_shared_hmax_matches_fresh_per_replan(monkeypatch, eps):
     tasks = [acceptance_instance(i, seed=i) for i in range(6)] + [_grid_5x5(seed=2)]
-    shared = [asec(task, SearchConfig(epsilon=eps)) for task in tasks]
+    shared = [solve(task, SearchConfig(epsilon=eps)) for task in tasks]
     monkeypatch.setattr(
         search, "make_heuristic", lambda name, task, registry: lambda s: hmax(s, task, registry)
     )
     for task, (cert, report) in zip(tasks, shared):
-        fresh_cert, fresh_report = asec(task, SearchConfig(epsilon=eps))
+        fresh_cert, fresh_report = solve(task, SearchConfig(epsilon=eps))
         # plan, [lb, ub] and verdict; the report holds the ledger and, in
         # simulated mode, the expansion count as t_planning_ms
         assert cert == fresh_cert
@@ -273,7 +272,7 @@ def test_hmax_kernel_equals_value_iteration_reference(monkeypatch, build):
         return check
 
     monkeypatch.setattr(search, "make_heuristic", checked)
-    cert, _ = asec(task, SearchConfig(epsilon=1.0))
+    cert, _ = solve(task, SearchConfig(epsilon=1.0))
     # lbs were raised between replans, unless the goal holds in init (acc0, acc3)
     assert len(lbs_seen) > 1 or (cert.plan == () and is_goal(task.init, task))
 
@@ -313,7 +312,7 @@ def test_action_indexes_propose_exactly_the_applicable_actions(monkeypatch, buil
         return lambda state: touched.add(state) or heuristic(state)
 
     monkeypatch.setattr(search, "make_heuristic", recording)
-    asec(task, SearchConfig(epsilon=1.0))
+    solve(task, SearchConfig(epsilon=1.0))
     assert task.init in touched
     for state in touched:
         view = decode(state)
@@ -375,7 +374,7 @@ def test_asec_replans_once_per_estimator_call(monkeypatch):
         task = acceptance_instance(index, seed=index)
         for eps in (1.0, 1.5):
             counts.update(astar_lb=0, make_heuristic=0)
-            _, report = asec(task, SearchConfig(epsilon=eps))
+            _, report = solve(task, SearchConfig(epsilon=eps))
             assert counts == {"astar_lb": len(report.calls) + 1, "make_heuristic": 1}
             calls += len(report.calls)
     assert calls > 50
@@ -395,7 +394,7 @@ def test_asec_refines_only_promising_action():
         priors={1: (3.0, 3.0)},
         true_costs={0: 2.0, 1: 3.0},
     )
-    cert, report = asec(task, SearchConfig(epsilon=1.5))
+    cert, report = solve(task, SearchConfig(epsilon=1.5))
     assert cert.verdict == "certified"
     assert cert.plan == (0,)
     assert cert.lower == cert.upper == 2.0
@@ -412,7 +411,7 @@ def test_asec_exact_chains_epsilon_one_optimal():
         goal={1},
         true_costs={0: 2.0, 1: 3.0},
     )
-    cert, _ = asec(task, SearchConfig(epsilon=1.0))
+    cert, _ = solve(task, SearchConfig(epsilon=1.0))
     assert cert.verdict == "certified"
     assert cert.lower == cert.upper == 2.0 == oracle_optimal(task)
 
@@ -422,7 +421,7 @@ def test_asec_incomplete_when_chain_exhausts():
         [("only", {0}, {1}, set(), [(1.0, (1.0, 2.0))])],
         goal={1},
     )
-    cert, _ = asec(task, SearchConfig(epsilon=1.5))
+    cert, _ = solve(task, SearchConfig(epsilon=1.5))
     assert cert.verdict == "uncertified"
     assert cert.plan == (0,)
     assert (cert.lower, cert.upper) == (1.0, 2.0)
@@ -430,7 +429,7 @@ def test_asec_incomplete_when_chain_exhausts():
 
 def test_asec_unreachable_goal():
     task = make_task([("a", {0}, {1}, set(), [])], goal={2})
-    cert, report = asec(task, SearchConfig(epsilon=1.0))
+    cert, report = solve(task, SearchConfig(epsilon=1.0))
     assert cert.verdict == "no-plan"
     assert cert.plan is None
     assert report.calls == ()
@@ -438,7 +437,7 @@ def test_asec_unreachable_goal():
 
 def test_asec_empty_plan_when_goal_in_init():
     task = make_task([("a", {0}, {1}, set(), [])], goal={0})
-    cert, _ = asec(task, SearchConfig(epsilon=1.0))
+    cert, _ = solve(task, SearchConfig(epsilon=1.0))
     assert cert.verdict == "certified"
     assert cert.plan == ()
     assert cert.lower == cert.upper == 0.0
@@ -453,7 +452,7 @@ def test_asec_epsilon_infinity_returns_lb_optimal():
         goal={1},
         priors={0: (4.0, 9.0), 1: (2.0, 20.0)},
     )
-    cert, report = asec(task, SearchConfig(epsilon=INF))
+    cert, report = solve(task, SearchConfig(epsilon=INF))
     assert cert.verdict == "certified"
     assert cert.plan == (1,)  # minimizes lb under the initial priors
     assert report.calls == ()
@@ -464,7 +463,7 @@ def test_replans_logged_at_debug_without_changing_outputs(caplog, tmp_path):
     outputs = []
     for level in (logging.WARNING, logging.DEBUG):
         caplog.set_level(level, logger="costplan.search")
-        cert, report = asec(task, SearchConfig(epsilon=1.5))
+        cert, report = solve(task, SearchConfig(epsilon=1.5))
         paths = emit_report([RunRecord.from_episode(cert, report, task)], tmp_path / str(level))
         outputs.append(tuple(Path(p).read_bytes() for p in paths))
         if level == logging.WARNING:
@@ -480,7 +479,7 @@ def test_replans_logged_at_debug_without_changing_outputs(caplog, tmp_path):
 # Offline baseline
 
 def test_offline_charges_all_final_levels(drive_task):
-    cert, report = astar_offline(drive_task, SearchConfig(epsilon=1.0))
+    cert, report = solve(drive_task, SearchConfig(epsilon=1.0, mode="offline"))
     assert report.t_modeling_ms == 200.0
     assert cert.verdict == "certified"
     assert cert.lower == cert.upper == 7.0
@@ -492,7 +491,7 @@ def test_offline_unreachable_still_charges():
         [("a", {0}, {1}, set(), [(5.0, (1.0, 1.0))])],
         goal={2},
     )
-    cert, report = astar_offline(task, SearchConfig(epsilon=1.0))
+    cert, report = solve(task, SearchConfig(epsilon=1.0, mode="offline"))
     assert cert.verdict == "no-plan"
     assert report.t_modeling_ms == 5.0
 
@@ -510,7 +509,7 @@ def test_offline_searches_once_and_never_refines(monkeypatch):
         return astar_lb(*args)
 
     monkeypatch.setattr(search, "astar_lb", counted)
-    cert, report = astar_offline(task, SearchConfig(epsilon=1.0))
+    cert, report = solve(task, SearchConfig(epsilon=1.0, mode="offline"))
     assert cert.verdict == "uncertified"
     assert (cert.lower, cert.upper) == (2.0, 3.0)
     assert len(searches) == 1
@@ -531,7 +530,7 @@ def test_offline_a_actual_counts_only_estimated_actions():
         goal={3},
     )
     registry = EstimatorRegistry(task, remote=DownForB())
-    cert, report = astar_offline(task, SearchConfig(epsilon=1.0), registry)
+    cert, report = solve(task, SearchConfig(epsilon=1.0, mode="offline"), registry)
     assert (cert.plan, cert.verdict) == ((0, 1, 2), "uncertified")
     assert [(e.action_id, e.level) for e in report.calls] == [(0, 1)]
     assert (report.a_actual, report.n, report.t_avg_ms) == (frozenset({0}), 3, 5.0)
@@ -542,9 +541,8 @@ def test_offline_equals_asec_with_single_exact_levels():
         task = suite_instance(
             index, seed=5, config=SyntheticConfig(levels=1, width=0.0)
         )
-        config = SearchConfig(epsilon=1.0)
-        cert_dyn, _ = asec(task, config)
-        cert_off, _ = astar_offline(task, config)
+        cert_dyn, _ = solve(task, SearchConfig(epsilon=1.0))
+        cert_off, _ = solve(task, SearchConfig(epsilon=1.0, mode="offline"))
         assert cert_dyn.verdict == cert_off.verdict == "certified"
         assert cert_dyn.lower == pytest.approx(cert_off.lower)
 
@@ -559,7 +557,7 @@ def refine_fixture(budget_ms):
     )
     registry = EstimatorRegistry(task)
     registry.invoke_next(0)  # interval now [5,10]
-    return asec(task, SearchConfig(epsilon=3.0, refine_budget_ms=budget_ms), registry)
+    return solve(task, SearchConfig(epsilon=3.0, refine_budget_ms=budget_ms), registry)
 
 
 def test_refine_budget_zero_is_noop():
@@ -582,7 +580,7 @@ def test_refine_budget_limits_spend():
         goal={1},
     )
     registry = EstimatorRegistry(task)
-    refined, _ = asec(task, SearchConfig(epsilon=INF, refine_budget_ms=5.0), registry)
+    refined, _ = solve(task, SearchConfig(epsilon=INF, refine_budget_ms=5.0), registry)
     # level 1 (1 ms) fits; level 2 (50 ms) does not
     assert (refined.lower, refined.upper) == (5.0, 10.0)
     assert registry.total_charged_ms() == 1.0
@@ -600,7 +598,7 @@ def test_post_search_refinement_skips_an_unavailable_estimator():
         goal={1},
     )
     registry = EstimatorRegistry(task, remote=FailingLevel2())
-    cert, report = asec(task, SearchConfig(epsilon=3.0, refine_budget_ms=INF), registry)
+    cert, report = solve(task, SearchConfig(epsilon=3.0, refine_budget_ms=INF), registry)
     assert (cert.plan, cert.lower, cert.upper, cert.verdict) == ((0,), 5.0, 10.0, "certified")
     assert [(e.level, e.failed) for e in report.calls] == [(1, False)]
     assert not registry.refinable(0)
@@ -609,7 +607,7 @@ def test_post_search_refinement_skips_an_unavailable_estimator():
 def test_post_search_refinement_logged_at_debug(caplog, drive_task):
     # epsilon 2 certifies after the 1 ms level; the budget buys the 100 ms level
     caplog.set_level(logging.DEBUG, logger="costplan.search")
-    cert, _ = asec(drive_task, SearchConfig(epsilon=2.0, refine_budget_ms=500.0))
+    cert, _ = solve(drive_task, SearchConfig(epsilon=2.0, refine_budget_ms=500.0))
     lines = [r.getMessage() for r in caplog.records if r.name == "costplan.search"]
     assert lines[-3].endswith("; certified") and "cost [5.0, 10.0]" in lines[-3]
     assert lines[-2:] == [
@@ -622,7 +620,7 @@ def test_post_search_refinement_logged_at_debug(caplog, drive_task):
 def test_episode_debug_transcript_pinned(caplog, drive_task):
     # refines twice, certifies, then runs the post-search tail with nothing left
     caplog.set_level(logging.DEBUG, logger="costplan.search")
-    asec(drive_task, SearchConfig(epsilon=1.0, refine_budget_ms=500.0))
+    solve(drive_task, SearchConfig(epsilon=1.0, refine_budget_ms=500.0))
     assert [r.getMessage() for r in caplog.records if r.name == "costplan.search"] == [
         "replan 1: plan length 1, cost [0.0, inf], ub/lb inf, 1 expansions; "
         "refine drive a b level 1",
@@ -674,7 +672,7 @@ def test_oracle_state_bound():
 @given(index=st.integers(0, 7), seed=st.integers(0, 500), eps=st.sampled_from([1.0, 1.2, 2.0]))
 def test_asec_soundness_random(index, seed, eps):
     task = suite_instance(index, seed)
-    cert, _ = asec(task, SearchConfig(epsilon=eps))
+    cert, _ = solve(task, SearchConfig(epsilon=eps))
     optimal = oracle_optimal(task)
     if cert.verdict == "certified" and cert.plan is not None:
         assert task.true_plan_cost(cert.plan) <= eps * optimal + TOLERANCE
@@ -684,7 +682,7 @@ def test_asec_soundness_random(index, seed, eps):
 @given(index=st.integers(0, 7), seed=st.integers(0, 500))
 def test_asec_termination_bound(index, seed):
     task = suite_instance(index, seed)
-    cert, report = asec(task, SearchConfig(epsilon=1.0))
+    cert, report = solve(task, SearchConfig(epsilon=1.0))
     total_levels = sum(map(len, task.chains))
     assert len(report.calls) <= total_levels
 
