@@ -29,10 +29,6 @@ class GroundingError(PlanningError):
     """Undefined object/type, or manifest entry naming no ground action."""
 
 
-class PreconditionError(PlanningError):
-    """Action applied in a state that does not satisfy its precondition."""
-
-
 class ModelInconsistencyError(PlanningError):
     """Estimator intervals for an action have an empty intersection."""
 

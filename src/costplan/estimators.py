@@ -52,7 +52,8 @@ class EstimatorRegistry:
     measured wall time, which a ``failed`` (unavailable) call is charged too.
     The ledger is the only accumulator of charges. ``next_level`` counts each
     chain's levels invoked or skipped: an unavailable estimator skips the rest
-    of its chain, and the call returns the interval kept so far.
+    of its chain, and the call returns the interval kept so far. The first
+    failure with a given error text is logged at WARNING, its repeats at DEBUG.
     """
 
     def __init__(self, task: PlanningTask, remote=None, real_latency: bool = False):
@@ -64,6 +65,7 @@ class EstimatorRegistry:
         self.raised: list[int] = []
         self.next_level = [0] * len(task.chains)
         self._remote = remote
+        self._warned: set[str] = set()  # error texts already logged at WARNING
 
     def refinable(self, action_id: int) -> bool:
         return self.next_level[action_id] < len(self.task.chains[action_id])
@@ -107,8 +109,11 @@ class EstimatorRegistry:
         try:
             interval, time_ms = self._produce(action_id, level)
         except EstimatorUnavailableError as exc:
-            log.warning("action %s level %d: estimator unavailable, rest of its chain "
-                        "skipped: %s", self.task.actions[action_id].name, level, exc)
+            cause = str(exc)
+            log.log(logging.DEBUG if cause in self._warned else logging.WARNING,
+                    "action %s level %d: estimator unavailable, rest of its chain "
+                    "skipped: %s", self.task.actions[action_id].name, level, cause)
+            self._warned.add(cause)
             if self.real_latency:
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 self.ledger.append(LedgerEntry(action_id, level, elapsed_ms, failed=True))

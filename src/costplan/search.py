@@ -90,6 +90,18 @@ class _HmaxEvaluator:
     that fires when its fact settles, and only actions with more
     preconditions are counted down.
 
+    A zero pass settles the cost-0 facts from a plain list before any heap
+    operation: the state's facts, then every fact an lb-0 action adds once
+    all its preconditions are settled (under online modeling most lbs are
+    still a prior's 0, so this plateau is often most of the facts). The
+    call returns 0 as soon as the list reaches the last goal fact; an
+    action with a positive lb pushes what it adds, and the heap settles
+    those facts as before. Costs are never negative, so cost 0 is the
+    least and the list may settle in any order. Each fact's cost is still
+    the same ``lb`` or ``c + lb`` float, so every h is bit for bit what a
+    heap-only run returns; only the supporter chosen among equal-cost ones
+    can differ, and the argument below holds for any recorded derivation.
+
     One evaluator serves a whole asec episode. Per state it caches the h
     value and a support mask: a bitmask over action ids holding the best
     supporters on the derivation of every goal fact it reached. Each call
@@ -137,19 +149,59 @@ class _HmaxEvaluator:
         lbs = self.registry.lbs
         cost = [INF] * len(is_goal)
         supporter = [-1] * len(is_goal)
-        heap = []  # facts_of is ascending, so this list is a heap as built
-        for f in facts_of(state):
+        zero = facts_of(state)  # the facts settled at cost 0, in the order reached
+        for f in zero:
             cost[f] = 0.0
-            heap.append((0.0, f))
+        unsettled_goals = len(goal_facts) - (state & goal).bit_count()  # counted down as reached
+        heap = []  # positive-cost facts only
         push, pop = heapq.heappush, heapq.heappop
+        remaining = counts.copy()
+        # Zero pass: an lb-0 action appends what it adds to the list it reads.
         for a, f in free:
             through = lbs[a]
             if cost[f] > through:
                 cost[f] = through
                 supporter[f] = a
-                push(heap, (through, f))
-        remaining = counts.copy()
-        unsettled_goals = len(goal_facts)  # goal facts in the state settle too
+                if through:
+                    push(heap, (through, f))
+                else:
+                    zero.append(f)
+                    if is_goal[f]:
+                        unsettled_goals -= 1
+                        if not unsettled_goals:
+                            return 0.0, _support_mask(goal_facts, supporter, pres)
+        for fact in zero:
+            for a, f in unary[fact]:
+                through = lbs[a]
+                if cost[f] > through:
+                    cost[f] = through
+                    supporter[f] = a
+                    if through:
+                        push(heap, (through, f))
+                    else:
+                        zero.append(f)
+                        if is_goal[f]:
+                            unsettled_goals -= 1
+                            if not unsettled_goals:
+                                return 0.0, _support_mask(goal_facts, supporter, pres)
+            for j in multi[fact]:
+                left = remaining[j] - 1
+                remaining[j] = left
+                if not left:
+                    a, added = multi_adds[j]
+                    through = lbs[a]
+                    for f in added:
+                        if cost[f] > through:
+                            cost[f] = through
+                            supporter[f] = a
+                            if through:
+                                push(heap, (through, f))
+                            else:
+                                zero.append(f)
+                                if is_goal[f]:
+                                    unsettled_goals -= 1
+                                    if not unsettled_goals:
+                                        return 0.0, _support_mask(goal_facts, supporter, pres)
         while heap:
             c, fact = pop(heap)
             if c > cost[fact]:
@@ -190,11 +242,6 @@ def _support_mask(goal_facts, supporter: list, pres: list) -> int:
         for f in pres[a]:
             stack.append(supporter[f])
     return mask
-
-
-def hmax(state: int, task: PlanningTask, registry: EstimatorRegistry) -> float:
-    """h_max of a state under the registry's current lower bounds."""
-    return _HmaxEvaluator(task, registry)(state)
 
 
 def make_heuristic(name: str, task: PlanningTask, registry: EstimatorRegistry):
@@ -323,7 +370,6 @@ def solve(
         expansions += exp
         bound = CostInterval(INF, INF) if plan is None else registry.plan_interval(plan)
         lb, ub = bound.lb, bound.ub
-        ratio = ub / lb if lb > 0 else (INF if ub > 0 else 1.0)
         if plan is None:
             verdict = "no-plan"
         elif certified(lb, ub, config.epsilon):
@@ -332,12 +378,14 @@ def solve(
             verdict = "uncertified"
         else:
             verdict = None
-        log.debug(
-            "replan %d: plan length %d, cost [%s, %s], ub/lb %s, %d expansions; %s",
-            replan, len(plan or ()), lb, ub, ratio, exp,
-            verdict or f"refine {task.actions[target].name} "
-                       f"level {registry.next_level[target] + 1}",
-        )
+        if log.isEnabledFor(logging.DEBUG):  # the refine text is built only to be logged
+            ratio = ub / lb if lb > 0 else (INF if ub > 0 else 1.0)
+            log.debug(
+                "replan %d: plan length %d, cost [%s, %s], ub/lb %s, %d expansions; %s",
+                replan, len(plan or ()), lb, ub, ratio, exp,
+                verdict or f"refine {task.actions[target].name} "
+                           f"level {registry.next_level[target] + 1}",
+            )
         if verdict is not None:
             break
         registry.invoke_next(target)

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .errors import PreconditionError
-
 
 @dataclass(frozen=True)
 class GroundAction:
@@ -141,18 +139,3 @@ def facts_of(mask: int) -> list:
         facts.append(low.bit_length() - 1)
         mask ^= low
     return facts
-
-
-def apply(state: int, action: GroundAction) -> int:
-    """STRIPS successor: (state \\ del) | add. Requires pre <= state."""
-    if state & action.pre != action.pre:
-        missing = facts_of(action.pre & ~state)
-        raise PreconditionError(
-            f"action {action.name} inapplicable: missing facts {missing}"
-        )
-    return state & ~action.delete | action.add
-
-
-def is_goal(state: int, task: PlanningTask) -> bool:
-    return state & task.goal == task.goal
-

@@ -1,4 +1,5 @@
-"""Shared builders for hand-constructed tasks and randomized suites."""
+"""Shared builders for hand-constructed tasks and randomized suites, and the
+STRIPS and h_max references the program's own search is checked against."""
 
 import heapq
 import itertools
@@ -10,6 +11,7 @@ from costplan.estimators import SyntheticConfig
 from costplan.intervals import INF, TOLERANCE, CostInterval
 from costplan.pddl import ground
 from costplan.manifest import ManifestLevel
+from costplan.search import make_heuristic
 from costplan.task import GroundAction, PlanningTask, facts_of, mask_of
 
 
@@ -78,6 +80,27 @@ def acceptance_instance(index, seed):
         )
     manifest = synthetic_manifest_for(domain, problem, seed, SyntheticConfig(levels=3))
     return ground(domain, problem, manifest, name=f"acc{index}-s{seed}")
+
+
+class PreconditionError(Exception):
+    """An action applied in a state that lacks one of its preconditions."""
+
+
+def apply(state, action):
+    """STRIPS successor of an int state: (state \\ del) | add. Requires pre <= state."""
+    if state & action.pre != action.pre:
+        missing = facts_of(action.pre & ~state)
+        raise PreconditionError(f"action {action.name} inapplicable: missing facts {missing}")
+    return state & ~action.delete | action.add
+
+
+def is_goal(state, task):
+    return state & task.goal == task.goal
+
+
+def hmax(state, task, registry):
+    """h_max of an int state from a fresh evaluator: nothing cached, current lbs."""
+    return make_heuristic("hmax", task, registry)(state)
 
 
 def reference_hmax(state, task, lbs):

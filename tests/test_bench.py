@@ -20,7 +20,8 @@ from costplan.errors import ConfigError
 from costplan.estimators import SyntheticConfig
 from costplan.pddl import ground, parse_domain, parse_problem, print_domain, print_problem
 from costplan.search import oracle_optimal
-from costplan.task import is_goal
+
+from helpers import is_goal
 
 
 def grounded(domain, problem):

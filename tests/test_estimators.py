@@ -15,6 +15,7 @@ from costplan.estimators import (
 from costplan.intervals import INF, CostInterval
 from costplan.manifest import manifest_to_json
 from costplan.pddl import ground
+from costplan.search import SearchConfig, solve
 
 from helpers import make_task
 
@@ -90,6 +91,33 @@ class TestRegistry:
             reg.invoke_next(0)
         assert reg.invoke_final(0) == CostInterval(0.0, INF)  # skipped, not retried
         assert len(reg.ledger) == int(real_latency) and len(caplog.records) == 1
+
+    def test_one_warning_per_cause(self, caplog):
+        class DeadEndpoint:
+            def estimate(self, name, level):
+                raise EstimatorUnavailableError("estimator endpoint unreachable: refused")
+
+        domain, problem = gen_gridworld(5, 5, seed=1)
+        task = ground(domain, problem, synthetic_manifest_for(domain, problem, 1, SyntheticConfig()))
+        caplog.set_level("DEBUG", logger="costplan.estimators")
+        cert, report = solve(task, SearchConfig(mode="offline"), EstimatorRegistry(task, DeadEndpoint()))
+        assert cert.verdict == "uncertified" and report.calls == ()
+        records = [r for r in caplog.records if r.name == "costplan.estimators"]
+        assert len(records) == task.n_actions > 1
+        assert [r.levelname for r in records] == ["WARNING"] + ["DEBUG"] * (task.n_actions - 1)
+        assert records[0].getMessage().endswith("skipped: estimator endpoint unreachable: refused")
+
+        class TwoCauses:
+            def estimate(self, name, level):
+                raise EstimatorUnavailableError(f"level {level} down")
+
+        caplog.clear()
+        reg = EstimatorRegistry(make_task([("a", {0}, {1}, set(), [(1.0, (5.0, 10.0))] * 2),
+                                           ("b", {0}, {1}, set(), [(1.0, (5.0, 10.0))] * 2)],
+                                          goal={1}), TwoCauses())
+        reg.invoke_next(0)
+        reg.invoke_final(1)
+        assert [r.levelname for r in caplog.records] == ["WARNING", "WARNING"]
 
     def test_lbs_track_intervals(self):
         reg = EstimatorRegistry(two_level_task())

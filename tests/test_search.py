@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 import math
 import random
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costplan import search
-from costplan.bench import gen_gridworld, synthetic_manifest_for
+from costplan.bench import gen_gridworld, gen_logistics, synthetic_manifest_for
 from costplan.errors import (
     EstimatorUnavailableError,
     MissingTrueCostError,
@@ -17,23 +18,25 @@ from costplan.errors import (
 )
 from costplan.estimators import EstimatorRegistry, SyntheticConfig
 from costplan.intervals import INF, TOLERANCE, CostInterval
+from costplan.manifest import manifest_to_json, parse_manifest
 from costplan.metrics import RunRecord, emit_report
 from costplan.pddl import ground
 from costplan.search import (
     SearchConfig,
     astar_lb,
-    hmax,
     make_heuristic,
     oracle_optimal,
     solve,
 )
-from costplan.task import is_goal, mask_of
+from costplan.task import mask_of
 
 from conftest import ACCEPTANCE_INSTANCES
 
 from helpers import (
     acceptance_instance,
     decode,
+    hmax,
+    is_goal,
     make_task,
     reference_astar_lb,
     reference_hmax,
@@ -248,11 +251,90 @@ def _goal_outside_facts():
     )
 
 
+# Tasks for each branch of h_max's zero pass. An action with prior [0, 0]
+# keeps lb 0 for the whole episode, so the plateau outlives refinement.
+ZERO = (0.0, 0.0)
+
+
+def _zero_multi_task():
+    # "join"'s two preconditions both settle at 0 through lb-0 actions
+    return make_task(
+        [
+            ("a", {0}, {1}, set(), []),
+            ("b", {0}, {2}, set(), []),
+            ("join", {1, 2}, {3}, set(), _nested_chain(1.0)),
+            ("c", {0}, {3}, set(), _nested_chain(2.0)),
+        ],
+        goal={3},
+        priors={0: ZERO, 1: ZERO},
+        name="zero-multi",
+    )
+
+
+def _zero_free_goal_task():
+    # "spawn" has no precondition, keeps lb 0 and adds the goal fact itself;
+    # "drop" has none either, and its lb rises once it is refined
+    return make_task(
+        [
+            ("spawn", set(), {2}, set(), []),
+            ("a", {0}, {1}, set(), _nested_chain(1.0)),
+            ("b", {1}, {3}, set(), _nested_chain(0.5)),
+            ("drop", set(), {3}, set(), _nested_chain(1.5)),
+        ],
+        goal={2, 3},
+        priors={0: ZERO},
+        name="zero-free-goal",
+    )
+
+
+def _goal_in_state_and_past_plateau_task():
+    # goal fact 5 holds in init; goal fact 3 lies past the plateau {0, 1, 2},
+    # reached only through "far", whose lb is positive from the start
+    return make_task(
+        [
+            ("a", {0}, {1}, set(), []),
+            ("b", {1}, {2}, set(), []),
+            ("far", {2}, {3}, set(), _nested_chain(1.0)),
+            ("short", {0}, {4}, set(), _nested_chain(0.5)),
+            ("c", {4}, {3}, set(), _nested_chain(2.0)),
+        ],
+        goal={3, 5},
+        init={0, 5},
+        priors={0: ZERO, 1: ZERO, 2: (0.5, 9.0)},
+        name="goal-in-state",
+    )
+
+
+def _negative_zero_lbs_task():
+    # a 4x4 grid whose manifest's default prior is [-0.0, null] and keeps
+    # chains only for the moves into the goal cell: every other move keeps
+    # lb -0.0, so the plateau is the grid and the goal lies past it
+    domain, problem = gen_gridworld(4, 4, seed=5)
+    (goal,) = problem.goal
+    into_goal = goal.predicate.removeprefix("at")  # "-r-c"; moves are named move-r-c-r-c
+    doc = json.loads(manifest_to_json(synthetic_manifest_for(domain, problem, 5, SyntheticConfig())))
+    doc["default"]["prior"] = [-0.0, None]
+    doc["actions"] = [entry for entry in doc["actions"] if entry["action"].endswith(into_goal)]
+    task = ground(domain, problem, parse_manifest(json.dumps(doc)), name="negative-zero")
+    assert any(math.copysign(1.0, prior.lb) < 0 for prior in task.priors)
+    return task
+
+
+def _cold_logistics_task():
+    # logistics 1t3c2p: the first replan runs with every lb at its prior 0
+    domain, problem = gen_logistics(trucks=1, cities=3, packages=2, seed=2)
+    manifest = synthetic_manifest_for(domain, problem, 2, SyntheticConfig(levels=2))
+    return ground(domain, problem, manifest, name="logistics-1t3c2p")
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda i=i: acceptance_instance(i, seed=i) for i in range(6)]
-    + [lambda: suite_instance(5, seed=3), _two_goal_task, _goal_outside_facts],
-    ids=[*(f"acc{i}" for i in range(6)), "suite-logistics-2goal", "two-goal", "goal-outside-facts"],
+    + [lambda: suite_instance(5, seed=3), _two_goal_task, _goal_outside_facts]
+    + [_zero_multi_task, _zero_free_goal_task, _goal_in_state_and_past_plateau_task,
+       _negative_zero_lbs_task, _cold_logistics_task],
+    ids=[*(f"acc{i}" for i in range(6)), "suite-logistics-2goal", "two-goal", "goal-outside-facts",
+         "zero-multi", "zero-free-goal", "goal-in-state", "negative-zero", "cold-logistics"],
 )
 def test_hmax_kernel_equals_value_iteration_reference(monkeypatch, build):
     """Exact floats on every state an asec episode's A* touches, as lbs rise."""

@@ -1,11 +1,11 @@
 import pytest
 
-from costplan.errors import ModelInconsistencyError, PreconditionError
+from costplan.errors import ModelInconsistencyError
 from costplan.intervals import INF, CostInterval
 from costplan.estimators import EstimatorRegistry
-from costplan.task import GroundAction, apply, is_goal, mask_of
+from costplan.task import GroundAction, mask_of
 
-from helpers import decode, make_task
+from helpers import PreconditionError, apply, decode, is_goal, make_task
 
 
 def act(pre, add, delete, name="a", aid=0):
