@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan = subs.add_parser("plan", help="solve one instance")
     _add_plan_flags(plan)
     plan.add_argument("--mode", choices=MODES, default="asec")
-    plan.add_argument("--refine-budget-ms", type=float, default=None)
 
     comp = subs.add_parser("compare", help="run both modes and compare accounting")
     _add_plan_flags(comp)
@@ -139,7 +138,7 @@ def _print_certificate(task, cert, report):
 
 
 def _cmd_plan(args) -> int:
-    config = SearchConfig(args.epsilon, args.heuristic, args.refine_budget_ms, args.mode)
+    config = SearchConfig(epsilon=args.epsilon, heuristic=args.heuristic, mode=args.mode)
     task = _load_task(args)
     with _remote(args) as remote:
         cert, report = solve(task, config, _registry(task, args, remote))

@@ -112,15 +112,14 @@ class RemoteEstimatorClient:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
+            if raw.isspace():
                 continue
-            self.wfile.write((json.dumps(self._reply(line)) + "\n").encode("utf-8"))
+            self.wfile.write((json.dumps(self._reply(raw)) + "\n").encode("utf-8"))
             self.wfile.flush()
 
-    def _reply(self, line: str) -> dict:
+    def _reply(self, raw: bytes) -> dict:
         try:
-            request = json.loads(line)
+            request = json.loads(raw.decode("utf-8"))  # UnicodeDecodeError is a ValueError
             action, level = request["action"], request["level"]
         except (KeyError, TypeError, ValueError, RecursionError):
             return {"error": "malformed request"}

@@ -41,15 +41,12 @@ class SearchConfig:
     """What an episode certifies, how it searches and in which mode; one check of all.
 
     ``epsilon`` (>= 1; inf accepts any plan) is the ub/lb ratio to certify.
-    ``refine_budget_ms``, when set, lets ``solve`` keep refining the plan
-    after its verdict for at most that many ledger-charged ms; None stops there.
     ``mode`` is "asec" (online modeling: refine plan actions on demand) or
     "offline" (every action's final estimate before one search).
     """
 
     epsilon: float = 1.0
     heuristic: str = "hmax"
-    refine_budget_ms: Optional[float] = None
     mode: str = "asec"
 
     def __post_init__(self):
@@ -57,14 +54,21 @@ class SearchConfig:
             raise ValueError("epsilon must be >= 1")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
-        if self.refine_budget_ms is not None and math.isnan(self.refine_budget_ms):
-            raise ValueError("refine budget must not be nan")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class PlanCertificate:
+    """An episode's answer: the plan and its cost interval at the verdict.
+
+    ``lower`` and ``upper`` bound the plan's true cost ([inf, inf] without a
+    plan). A* found the plan optimal under the lower-bound costs of the
+    verdict, so ``lower`` is also the lb-optimal cost, and since every true
+    cost is at least its lb, ``lower`` is at most C*, the optimal true plan
+    cost. A ``certified`` verdict thus means ``upper <= epsilon * C*``.
+    """
+
     plan: Optional[tuple]  # action ids, None when no plan exists
     lower: float
     upper: float
@@ -86,17 +90,18 @@ class _HmaxEvaluator:
 
     Generalized Dijkstra over facts: an action fires when its last
     precondition is settled, at the max of its precondition costs. It runs
-    over ``task.relaxation``: a one-precondition action is an edge
-    that fires when its fact settles, and only actions with more
-    preconditions are counted down.
+    over ``task.relaxation``: an action with at most one precondition is an
+    edge that fires when its fact settles (a precondition-free one fires
+    from the source, a fact no state holds that settles first, at cost 0),
+    and only actions with more preconditions are counted down.
 
     A zero pass settles the cost-0 facts from a plain list before any heap
-    operation: the state's facts, then every fact an lb-0 action adds once
-    all its preconditions are settled (under online modeling most lbs are
-    still a prior's 0, so this plateau is often most of the facts). The
-    call returns 0 as soon as the list reaches the last goal fact; an
-    action with a positive lb pushes what it adds, and the heap settles
-    those facts as before. Costs are never negative, so cost 0 is the
+    operation: the source and the state's facts, then every fact an lb-0
+    action adds once all its preconditions are settled (under online
+    modeling most lbs are still a prior's 0, so this plateau is often most
+    of the facts). The call returns 0 as soon as the list reaches the last
+    goal fact; an action with a positive lb pushes what it adds, and the
+    heap settles those facts as before. Costs are never negative, so cost 0 is the
     least and the list may settle in any order. Each fact's cost is still
     the same ``lb`` or ``c + lb`` float, so every h is bit for bit what a
     heap-only run returns; only the supporter chosen among equal-cost ones
@@ -145,11 +150,12 @@ class _HmaxEvaluator:
         goal = self.task.goal
         if state & goal == goal:
             return 0.0, 0
-        free, unary, multi, counts, multi_adds, pres, goal_facts, is_goal = self.task.relaxation
+        unary, multi, counts, multi_adds, pres, goal_facts, is_goal = self.task.relaxation
         lbs = self.registry.lbs
         cost = [INF] * len(is_goal)
         supporter = [-1] * len(is_goal)
-        zero = facts_of(state)  # the facts settled at cost 0, in the order reached
+        # The facts settled at cost 0, in the order reached: the source first.
+        zero = [self.task.n_facts, *facts_of(state)]
         for f in zero:
             cost[f] = 0.0
         unsettled_goals = len(goal_facts) - (state & goal).bit_count()  # counted down as reached
@@ -157,19 +163,6 @@ class _HmaxEvaluator:
         push, pop = heapq.heappush, heapq.heappop
         remaining = counts.copy()
         # Zero pass: an lb-0 action appends what it adds to the list it reads.
-        for a, f in free:
-            through = lbs[a]
-            if cost[f] > through:
-                cost[f] = through
-                supporter[f] = a
-                if through:
-                    push(heap, (through, f))
-                else:
-                    zero.append(f)
-                    if is_goal[f]:
-                        unsettled_goals -= 1
-                        if not unsettled_goals:
-                            return 0.0, _support_mask(goal_facts, supporter, pres)
         for fact in zero:
             for a, f in unary[fact]:
                 through = lbs[a]
@@ -320,27 +313,6 @@ def _pick_refinement(plan, registry) -> Optional[int]:
     return best
 
 
-def _refine_within(plan, registry, budget_ms: float) -> None:
-    """Refine the plan's widest refinable actions while the budget allows.
-
-    The budget counts what the ledger charges for these calls (measured time
-    under ``real_latency``); a call starts only if the spend so far plus its
-    level's declared time fits. An unavailable estimator is skipped. Each
-    call logs one DEBUG line.
-    """
-    spent = 0.0
-    while (target := _pick_refinement(plan, registry)) is not None:
-        level = registry.next_level[target]
-        if spent + registry.task.chains[target][level].time_ms > budget_ms + TOLERANCE:
-            return
-        calls = len(registry.ledger)
-        registry.invoke_next(target)
-        charged = sum(e.time_ms for e in registry.ledger[calls:])
-        spent += charged
-        log.debug("post-search refine %s level %d: charged %s ms, %s of %s ms spent",
-                  registry.task.actions[target].name, level + 1, charged, spent, budget_ms)
-
-
 def solve(
     task: PlanningTask, config: SearchConfig, registry: Optional[EstimatorRegistry] = None
 ) -> tuple:
@@ -352,11 +324,7 @@ def solve(
     replan is a fresh lower-bound A* that refines the plan's widest refinable
     action, until a verdict. One heuristic serves the episode: h_max keeps
     every value a refinement cannot have changed (see ``_HmaxEvaluator``).
-    Each replan logs one DEBUG line.
-
-    With ``config.refine_budget_ms`` set, the tail refines a found plan within
-    that budget (``_refine_within``) and rebuilds its bound, which only narrows;
-    the verdict stays, as an uncertified plan has nothing left to refine.
+    Each replan logs one DEBUG line. The verdict's bound is the certificate.
     """
     started = time.perf_counter()
     registry = registry or EstimatorRegistry(task)
@@ -389,10 +357,6 @@ def solve(
         if verdict is not None:
             break
         registry.invoke_next(target)
-    if plan is not None and config.refine_budget_ms is not None:
-        _refine_within(plan, registry, config.refine_budget_ms)
-        bound = registry.plan_interval(plan)
-        log.debug("post-search cost [%s, %s]; %s", bound.lb, bound.ub, verdict)
     charged_ms = registry.total_charged_ms()
     if registry.real_latency:
         planning_ms = max(0.0, (time.perf_counter() - started) * 1000.0 - charged_ms)
@@ -402,7 +366,7 @@ def solve(
         instance=task.name, mode=config.mode, n=task.n_actions, calls=tuple(registry.ledger),
         a_actual=registry.estimated_actions(), t_modeling_ms=charged_ms, t_planning_ms=planning_ms,
     )
-    return PlanCertificate(plan, bound.lb, bound.ub, config.epsilon, verdict), report
+    return PlanCertificate(plan, lb, ub, config.epsilon, verdict), report
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,8 @@ class PlanningTask:
     estimator levels, the manifest's own ManifestLevel records in
     invocation order (empty when the manifest has no entry for it). A
     remote estimator answers in a level's place at invocation time; the
-    chain still gives the level count and the declared times that a
-    refinement budget is checked against. Every fact id in an action
-    indexes ``facts``.
+    chain still gives the level count and the declared times. Every fact
+    id in an action indexes ``facts``.
     """
 
     name: str
@@ -73,9 +72,10 @@ class PlanningTask:
     @cached_property
     def relaxation(self) -> "Relaxation":
         """h_max's arrays, built on first use, as blind search never reads them."""
-        free, counts, multi_adds = [], [], []
-        unary = [[] for _ in range(self.n_facts)]
-        multi = [[] for _ in range(self.n_facts)]
+        source = self.n_facts
+        counts, multi_adds = [], []
+        unary = [[] for _ in range(source + 1)]
+        multi = [[] for _ in range(source + 1)]
         pres = [facts_of(action.pre) for action in self.actions]
         for action, pre in zip(self.actions, pres):
             if len(pre) > 1:
@@ -84,14 +84,14 @@ class PlanningTask:
                 counts.append(len(pre))
                 multi_adds.append((action.id, facts_of(action.add)))
                 continue
-            edges = unary[pre[0]] if pre else free
+            edges = unary[pre[0] if pre else source]
             for f in facts_of(action.add):
                 edges.append((action.id, f))
         goal_facts = facts_of(self.goal)
-        is_goal = [False] * self.n_facts
+        is_goal = [False] * (source + 1)
         for f in goal_facts:
             is_goal[f] = True
-        return Relaxation(free, unary, multi, counts, multi_adds, pres, goal_facts, is_goal)
+        return Relaxation(unary, multi, counts, multi_adds, pres, goal_facts, is_goal)
 
     def true_plan_cost(self, plan) -> Optional[float]:
         """Sum of hidden true costs along a plan; None when a step has none."""
@@ -104,16 +104,17 @@ class PlanningTask:
 class Relaxation(NamedTuple):
     """h_max's delete-relaxed view of a task, indexed by fact id.
 
-    ``free`` and ``unary[f]`` hold ``(action id, added fact)`` edges of the
-    precondition-free actions and of those whose one precondition is f.
-    Actions with more preconditions are counted: ``multi[f]`` lists indexes
-    into ``counts`` (precondition count) and ``multi_adds`` ((action id,
-    added facts)) of those with precondition f. Every list is in action id
-    order. ``pres[a]`` lists action a's preconditions, ``goal_facts`` the
+    Fact ids run to ``n_facts``, one past the task's facts: a source fact
+    that every precondition-free action needs. ``unary[f]`` holds the
+    ``(action id, added fact)`` edges of the actions whose one precondition
+    is f (of the precondition-free ones when f is the source). Actions with
+    more preconditions are counted: ``multi[f]`` lists indexes into
+    ``counts`` (precondition count) and ``multi_adds`` ((action id, added
+    facts)) of those with precondition f. Every list is in action id order.
+    ``pres[a]`` lists action a's real preconditions, ``goal_facts`` the
     goal's fact ids, and ``is_goal`` flags them.
     """
 
-    free: list
     unary: list
     multi: list
     counts: list

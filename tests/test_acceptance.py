@@ -39,7 +39,13 @@ def test_criterion_1_soundness(suite_runs):
     runs, elapsed = suite_runs
     violations = 0
     for task, eps, c_star, cert, _ in runs:
-        if cert.verdict == "certified" and cert.plan is not None:
+        if cert.plan is None:
+            continue
+        # the bound is the plan's true-cost interval, and its lower end bounds C*
+        assert cert.lower <= c_star + 1e-9
+        assert cert.lower - 1e-9 <= task.true_plan_cost(cert.plan) <= cert.upper + 1e-9
+        if cert.verdict == "certified":
+            assert cert.upper <= eps * cert.lower + 1e-9
             if task.true_plan_cost(cert.plan) > eps * c_star + 1e-9:
                 violations += 1
     assert violations == 0

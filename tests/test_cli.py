@@ -41,20 +41,6 @@ def test_plan_prints_summary(capsys, drive_paths):
     assert "[7, 7]" in out
 
 
-def test_plan_reports_post_search_refinement_calls(capsys, drive_paths, tmp_path):
-    # epsilon 2 certifies after the 1 ms level; the budget buys the 100 ms level
-    out_prefix = tmp_path / "run"
-    code, out, _ = run(capsys, *plan_args(
-        drive_paths, "--epsilon", "2", "--refine-budget-ms", "500", "--out", str(out_prefix),
-    ))
-    assert code == 0
-    assert "[7, 7]" in out
-    assert "estimator calls: 2 over 1/2 actions, 101 ms modeling" in out
-    with open(f"{out_prefix}.csv") as fh:
-        (row,) = csv.DictReader(fh)
-    assert (row["calls"], row["t_modeling_ms"]) == ("2", "101.0")
-
-
 def test_plan_uncertified_exit_code(capsys, drive_paths, tmp_path):
     # epsilon 1.0 with an uncertifiable manifest: single inexact estimator
     manifest = tmp_path / "m.json"
@@ -85,7 +71,6 @@ def test_plan_rejects_small_epsilon(capsys, drive_paths):
 @pytest.mark.parametrize("command, flags, message", [
     ("plan", ["--epsilon", "nan"], "epsilon must be >= 1"),
     ("compare", ["--epsilon", "nan"], "epsilon must be >= 1"),
-    ("plan", ["--refine-budget-ms", "nan"], "refine budget must not be nan"),
 ])
 def test_nan_settings_exit_2(capsys, drive_paths, command, flags, message):
     code, out, err = run(capsys, command, *plan_args(drive_paths, *flags)[1:])

@@ -557,6 +557,36 @@ def test_replans_logged_at_debug_without_changing_outputs(caplog, tmp_path):
     assert lines[-1].endswith("; certified")
 
 
+def test_episode_debug_transcript_pinned(caplog, drive_task):
+    # refines twice, then certifies
+    caplog.set_level(logging.DEBUG, logger="costplan.search")
+    solve(drive_task, SearchConfig(epsilon=1.0))
+    assert [r.getMessage() for r in caplog.records if r.name == "costplan.search"] == [
+        "replan 1: plan length 1, cost [0.0, inf], ub/lb inf, 1 expansions; "
+        "refine drive a b level 1",
+        "replan 2: plan length 1, cost [5.0, 10.0], ub/lb 2.0, 1 expansions; "
+        "refine drive a b level 2",
+        "replan 3: plan length 1, cost [7.0, 7.0], ub/lb 1.0, 1 expansions; certified",
+    ]
+
+
+def test_certificate_lower_bounds_c_star():
+    # P looks cheaper (lb 10) but costs 14; Q costs 10.5, so C* = 10.5
+    task = make_task(
+        [
+            ("P", {0}, {1}, {0}, [(1.0, (14.0, 14.0))]),
+            ("Q", {0}, {1}, {0}, []),
+        ],
+        goal={1},
+        priors={0: (10.0, 14.0), 1: (10.5, 10.5)},
+        true_costs={0: 14.0, 1: 10.5},
+    )
+    cert, report = solve(task, SearchConfig(epsilon=1.5))
+    assert (cert.plan, cert.lower, cert.upper, cert.verdict) == ((0,), 10.0, 14.0, "certified")
+    assert cert.lower <= oracle_optimal(task) == 10.5
+    assert report.calls == ()
+
+
 # ---------------------------------------------------------------------------
 # Offline baseline
 
@@ -627,90 +657,6 @@ def test_offline_equals_asec_with_single_exact_levels():
         cert_off, _ = solve(task, SearchConfig(epsilon=1.0, mode="offline"))
         assert cert_dyn.verdict == cert_off.verdict == "certified"
         assert cert_dyn.lower == pytest.approx(cert_off.lower)
-
-
-# ---------------------------------------------------------------------------
-# Post-search refinement
-
-def refine_fixture(budget_ms):
-    task = make_task(
-        [("a", {0}, {1}, set(), [(1.0, (5.0, 10.0)), (10.0, (7.0, 7.0))])],
-        goal={1},
-    )
-    registry = EstimatorRegistry(task)
-    registry.invoke_next(0)  # interval now [5,10]
-    return solve(task, SearchConfig(epsilon=3.0, refine_budget_ms=budget_ms), registry)
-
-
-def test_refine_budget_zero_is_noop():
-    assert refine_fixture(0.0) == refine_fixture(None)
-
-
-def test_refine_narrows_bound():
-    cert, _ = refine_fixture(None)
-    assert (cert.lower, cert.upper) == (5.0, 10.0)
-    refined, report = refine_fixture(INF)
-    assert (refined.lower, refined.upper) == (7.0, 7.0)
-    assert (refined.plan, refined.verdict) == (cert.plan, "certified")
-    assert [(e.level, e.time_ms) for e in report.calls] == [(1, 1.0), (2, 10.0)]
-    assert (report.a_actual, report.t_modeling_ms) == (frozenset({0}), 11.0)
-
-
-def test_refine_budget_limits_spend():
-    task = make_task(
-        [("a", {0}, {1}, set(), [(1.0, (5.0, 10.0)), (50.0, (7.0, 7.0))])],
-        goal={1},
-    )
-    registry = EstimatorRegistry(task)
-    refined, _ = solve(task, SearchConfig(epsilon=INF, refine_budget_ms=5.0), registry)
-    # level 1 (1 ms) fits; level 2 (50 ms) does not
-    assert (refined.lower, refined.upper) == (5.0, 10.0)
-    assert registry.total_charged_ms() == 1.0
-
-
-def test_post_search_refinement_skips_an_unavailable_estimator():
-    class FailingLevel2:  # a remote estimator that answers level 1 only
-        def estimate(self, name, level):
-            if level == 2:
-                raise EstimatorUnavailableError(f"{name}: level 2 is down")
-            return CostInterval(5.0, 10.0), 1.0
-
-    task = make_task(
-        [("a", {0}, {1}, set(), [(1.0, (5.0, 10.0)), (10.0, (7.0, 7.0))])],
-        goal={1},
-    )
-    registry = EstimatorRegistry(task, remote=FailingLevel2())
-    cert, report = solve(task, SearchConfig(epsilon=3.0, refine_budget_ms=INF), registry)
-    assert (cert.plan, cert.lower, cert.upper, cert.verdict) == ((0,), 5.0, 10.0, "certified")
-    assert [(e.level, e.failed) for e in report.calls] == [(1, False)]
-    assert not registry.refinable(0)
-
-
-def test_post_search_refinement_logged_at_debug(caplog, drive_task):
-    # epsilon 2 certifies after the 1 ms level; the budget buys the 100 ms level
-    caplog.set_level(logging.DEBUG, logger="costplan.search")
-    cert, _ = solve(drive_task, SearchConfig(epsilon=2.0, refine_budget_ms=500.0))
-    lines = [r.getMessage() for r in caplog.records if r.name == "costplan.search"]
-    assert lines[-3].endswith("; certified") and "cost [5.0, 10.0]" in lines[-3]
-    assert lines[-2:] == [
-        "post-search refine drive a b level 2: charged 100.0 ms, 100.0 of 500.0 ms spent",
-        "post-search cost [7.0, 7.0]; certified",
-    ]
-    assert (cert.lower, cert.upper) == (7.0, 7.0)
-
-
-def test_episode_debug_transcript_pinned(caplog, drive_task):
-    # refines twice, certifies, then runs the post-search tail with nothing left
-    caplog.set_level(logging.DEBUG, logger="costplan.search")
-    solve(drive_task, SearchConfig(epsilon=1.0, refine_budget_ms=500.0))
-    assert [r.getMessage() for r in caplog.records if r.name == "costplan.search"] == [
-        "replan 1: plan length 1, cost [0.0, inf], ub/lb inf, 1 expansions; "
-        "refine drive a b level 1",
-        "replan 2: plan length 1, cost [5.0, 10.0], ub/lb 2.0, 1 expansions; "
-        "refine drive a b level 2",
-        "replan 3: plan length 1, cost [7.0, 7.0], ub/lb 1.0, 1 expansions; certified",
-        "post-search cost [7.0, 7.0]; certified",
-    ]
 
 
 # ---------------------------------------------------------------------------
