@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import inspect
 import logging
 import math
@@ -51,6 +52,7 @@ def _add_plan_flags(sub):
     sub.add_argument("--out", default=None, help="output path prefix for CSV/JSON reports")
 
 
+@functools.cache  # built once per process: parsing never changes a parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="costplan",

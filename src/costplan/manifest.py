@@ -56,28 +56,6 @@ def _as_interval(raw, where: str) -> CostInterval:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
-def _validate_entry(entry: ManifestEntry) -> None:
-    """Raise for a broken invariant, with text to follow the entry's name."""
-    prev_time = -INF
-    prev = entry.prior
-    if prev is not None and entry.true_cost is not None and not prev.contains(entry.true_cost):
-        raise InvariantViolationError(f": true cost {entry.true_cost} outside prior")
-    for lvl_no, level in enumerate(entry.levels, start=1):
-        iv = level.interval
-        if level.time_ms < 0:
-            problem = "negative time_ms"
-        elif level.time_ms < prev_time:
-            problem = f"time {level.time_ms} decreases below {prev_time}"
-        elif prev is not None and not prev.contains_interval(iv):
-            problem = f"interval [{iv.lb}, {iv.ub}] not nested in [{prev.lb}, {prev.ub}]"
-        elif entry.true_cost is not None and not iv.contains(entry.true_cost):
-            problem = f"true cost {entry.true_cost} outside interval"
-        else:
-            prev_time, prev = level.time_ms, iv
-            continue
-        raise InvariantViolationError(f", level {lvl_no}: {problem}")
-
-
 def as_number(raw, where: str) -> float:
     """A finite JSON number (not a bool) as a float; manifests, remote replies, suites."""
     try:
@@ -91,31 +69,75 @@ def as_number(raw, where: str) -> float:
 
 def _parse_entry(raw: dict) -> ManifestEntry:
     """One checked 'actions' item. Error text starts after the entry's own
-    name ("entry I ('A')"), which parse_manifest puts in front when raising."""
+    name ("entry I ('A')"), which parse_manifest puts in front when raising.
+
+    One loop checks each level's types and invariants: a time at least 0
+    and no less than the last, an interval nested in the last (the first in
+    the entry's prior) and holding the true cost. A type error anywhere, in
+    the true cost or prior too, is reported before any broken invariant, so
+    the first broken invariant is only recorded until the loop ends. A
+    finite float skips ``as_number``; any other value goes through it for
+    its check and its error text.
+    """
     estimators = raw.get("estimators", [])
     if not isinstance(estimators, list):
         raise ManifestError(": estimators must be a list")
+    true_cost, prior = raw.get("true_cost"), raw.get("prior")
+    try:  # raised after the levels' type errors, before any broken invariant
+        true_cost = None if true_cost is None else as_number(true_cost, ": true_cost")
+        prior = None if prior is None else _as_interval(prior, " prior")
+        late_error = None
+    except ManifestError as exc:
+        late_error = exc
+    problem = None  # the first broken invariant
+    if late_error is None and prior is not None and true_cost is not None \
+            and not prior.contains(true_cost):
+        problem = f": true cost {true_cost} outside prior"
     levels = []
+    prev_time, prev = -INF, prior
     for j, lvl in enumerate(estimators, start=1):
         try:
             if not isinstance(lvl, dict):
                 raise ManifestError(": must be an object")
-            levels.append(ManifestLevel(
-                time_ms=as_number(lvl.get("time_ms", 0.0), ": time_ms"),
-                interval=_as_interval(lvl.get("interval"), ""),
-            ))
+            time_ms = lvl.get("time_ms", 0.0)
+            if type(time_ms) is not float or not -INF < time_ms < INF:
+                time_ms = as_number(time_ms, ": time_ms")
+            pair = lvl.get("interval")
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ManifestError(": interval must be a [lb, ub] pair")
+            lb, ub = pair
+            if type(lb) is not float or not -INF < lb < INF:
+                lb = as_number(lb, ": lb")
+            if ub is None:
+                ub = INF
+            elif type(ub) is not float or not -INF < ub < INF:
+                ub = as_number(ub, ": ub")
+            try:
+                iv = CostInterval(lb, ub)
+            except ValueError as exc:
+                raise ManifestError(f": {exc}") from exc
         except ManifestError as exc:
             raise ManifestError(f", level {j}{exc}") from exc.__cause__
-    true_cost = raw.get("true_cost")
-    prior = raw.get("prior")
-    entry = ManifestEntry(
-        action=raw["action"],
-        levels=tuple(levels),
-        true_cost=None if true_cost is None else as_number(true_cost, ": true_cost"),
-        prior=None if prior is None else _as_interval(prior, " prior"),
-    )
-    _validate_entry(entry)
-    return entry
+        levels.append(ManifestLevel(time_ms, iv))
+        if problem is not None or late_error is not None:
+            continue
+        if time_ms < 0:
+            problem = "negative time_ms"
+        elif time_ms < prev_time:
+            problem = f"time {time_ms} decreases below {prev_time}"
+        elif prev is not None and not prev.contains_interval(iv):
+            problem = f"interval [{iv.lb}, {iv.ub}] not nested in [{prev.lb}, {prev.ub}]"
+        elif true_cost is not None and not iv.contains(true_cost):
+            problem = f"true cost {true_cost} outside interval"
+        else:
+            prev_time, prev = time_ms, iv
+            continue
+        problem = f", level {j}: {problem}"
+    if late_error is not None:
+        raise late_error
+    if problem is not None:
+        raise InvariantViolationError(problem)
+    return ManifestEntry(raw["action"], tuple(levels), true_cost, prior)
 
 
 def parse_manifest(text: str) -> EstimatorManifest:

@@ -52,35 +52,66 @@ def _position(text: str, index: int) -> tuple:
 
 
 def _parse_sexpr(text: str):
-    """The one top-level form as nested lists of lower-case words (str)."""
+    """The one top-level form as nested lists of lower-case words (str).
+
+    The loop keeps no token index: an error finds its token's index afterwards.
+    """
     tokens = _TOKEN.findall(text.lower())
     items = top = []
-    stack = []  # (enclosing list, token index) of each open "("
-    for index, tok in enumerate(tokens):
-        if not tok:
-            continue
-        if top and not stack:
-            raise PddlSyntaxError("trailing tokens after top-level form", *_position(text, index))
+    stack = []  # the enclosing list of each open "("
+    rest = iter(tokens)
+    for tok in rest:
         if tok == "(":
-            stack.append((items, index))
+            stack.append(items)
             items.append(items := [])  # into the enclosing list, then descend
         elif tok == ")":
+            if not stack:  # the loop ends when the form closes, so this is its first token
+                raise PddlSyntaxError("unexpected ')'", *_position(text, _first_word(tokens)))
+            items = stack.pop()
             if not stack:
-                raise PddlSyntaxError("unexpected ')'", *_position(text, index))
-            items = stack.pop()[0]
-        else:
+                break
+        elif tok:  # "" is a comment
             items.append(tok)
-    if stack:
-        raise PddlSyntaxError("missing ')'", *_position(text, stack[-1][1]))
-    if not top:
+            if not stack:
+                break  # a bare word is the whole form
+    else:
+        if stack:
+            raise PddlSyntaxError("missing ')'", *_position(text, _innermost_open(tokens)))
         raise PddlSyntaxError("unexpected end of input")
+    trailing = list(rest)
+    if any(trailing):
+        index = len(tokens) - len(trailing) + _first_word(trailing)
+        raise PddlSyntaxError("trailing tokens after top-level form", *_position(text, index))
     return top[0]
 
 
-def _word(item, context: str) -> str:
+def _first_word(tokens: list) -> int:
+    """Index of the first token that is not a comment."""
+    return next(index for index, tok in enumerate(tokens) if tok)
+
+
+def _innermost_open(tokens: list) -> int:
+    """Index of the last "(" that no later ")" closes."""
+    depth = 0
+    for index in range(len(tokens) - 1, -1, -1):
+        if tokens[index] == ")":
+            depth += 1
+        elif tokens[index] == "(":
+            if not depth:
+                return index
+            depth -= 1
+
+
+def _word(item, context: tuple) -> str:
     if not isinstance(item, str):
-        raise PddlSyntaxError(f"expected a symbol in {context}, got a list")
+        raise _not_a_symbol(context)
     return item
+
+
+def _not_a_symbol(context: tuple) -> PddlSyntaxError:
+    """The error for a list where a word belongs; a context is a tuple of
+    words, joined only when an error is raised."""
+    return PddlSyntaxError(f"expected a symbol in {' '.join(context)}, got a list")
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +162,21 @@ class ProblemAst:
 # ---------------------------------------------------------------------------
 # Parsing helpers
 
-def _parse_typed_list(items, context: str):
+def _parse_typed_list(items, context: tuple):
     """Parse 'a b - t c - u d' into ((a,t),(b,t),(c,u),(d,object))."""
+    if not items:
+        return ()
+    if list in map(type, items):
+        raise _not_a_symbol(context)
     out = []
     pending = []
     i = 0
     while i < len(items):
-        word = _word(items[i], context)
+        word = items[i]
         if word == "-":
             if i + 1 >= len(items):
-                raise PddlSyntaxError(f"dangling '-' in {context}")
-            typ = _word(items[i + 1], context)
+                raise PddlSyntaxError(f"dangling '-' in {' '.join(context)}")
+            typ = items[i + 1]
             out.extend((name, typ) for name in pending)
             pending = []
             i += 2
@@ -152,23 +187,26 @@ def _parse_typed_list(items, context: str):
     return tuple(out)
 
 
-def _parse_atom(expr, context: str) -> Atom:
+def _parse_atom(expr, context: tuple) -> Atom:
     if not isinstance(expr, list) or not expr:
-        raise PddlSyntaxError(f"expected an atom in {context}")
-    head = _word(expr[0], context)
-    if head in RESERVED_HEADS:
-        raise UnsupportedFeatureError(f"'{head}' not allowed as a predicate in {context}")
-    return Atom(head, tuple(_word(a, context) for a in expr[1:]))
+        raise PddlSyntaxError(f"expected an atom in {' '.join(context)}")
+    head = expr[0]
+    if type(head) is str and head in RESERVED_HEADS:
+        raise UnsupportedFeatureError(
+            f"'{head}' not allowed as a predicate in {' '.join(context)}")
+    if list in map(type, expr):  # every word in one pass
+        raise _not_a_symbol(context)
+    return Atom(head, tuple(expr[1:]))
 
 
-def _parse_conjunction(expr, context: str):
+def _parse_conjunction(expr, context: tuple):
     """A single atom, or (and atom...); returns a tuple of atoms."""
     if isinstance(expr, list) and expr and expr[0] == "and":
-        return tuple(_parse_atom(e, context) for e in expr[1:])
+        return tuple([_parse_atom(e, context) for e in expr[1:]])
     return (_parse_atom(expr, context),)
 
 
-def _parse_effect(expr, context: str):
+def _parse_effect(expr, context: tuple):
     """Conjunction of literals; returns (add, delete) atom tuples."""
     if isinstance(expr, list) and expr and expr[0] == "and":
         literals = expr[1:]
@@ -178,7 +216,7 @@ def _parse_effect(expr, context: str):
     for lit in literals:
         if isinstance(lit, list) and lit and lit[0] == "not":
             if len(lit) != 2:
-                raise PddlSyntaxError(f"malformed (not ...) in {context}")
+                raise PddlSyntaxError(f"malformed (not ...) in {' '.join(context)}")
             delete.append(_parse_atom(lit[1], context))
         else:
             add.append(_parse_atom(lit, context))
@@ -197,12 +235,12 @@ def _check_schema_vars(schema: ActionSchema) -> None:
 
 def _define(expr, kind: str) -> str:
     """NAME of a top-level (define (KIND NAME) ...) form, kind "domain" or "problem"."""
-    if not isinstance(expr, list) or len(expr) < 2 or _word(expr[0], kind) != "define":
+    if not isinstance(expr, list) or len(expr) < 2 or _word(expr[0], (kind,)) != "define":
         raise PddlSyntaxError(f"{kind} file must start with (define ({kind} NAME) ...)")
     header = expr[1]
-    if not isinstance(header, list) or len(header) < 2 or _word(header[0], kind) != kind:
+    if not isinstance(header, list) or len(header) < 2 or _word(header[0], (kind,)) != kind:
         raise PddlSyntaxError(f"expected ({kind} NAME)")
-    return _word(header[1], f"{kind} name")
+    return _word(header[1], (kind, "name"))
 
 
 def parse_domain(text: str) -> DomainAst:
@@ -216,21 +254,21 @@ def parse_domain(text: str) -> DomainAst:
     for section in expr[2:]:
         if not isinstance(section, list) or not section:
             raise PddlSyntaxError("malformed domain section")
-        key = _word(section[0], "domain section")
+        key = _word(section[0], ("domain section",))
         if key == ":requirements":
             for req in section[1:]:
-                word = _word(req, ":requirements")
+                word = _word(req, (":requirements",))
                 if word not in SUPPORTED_REQUIREMENTS:
                     raise UnsupportedFeatureError(f"requirement {word} is not supported")
                 requirements.append(word)
         elif key == ":types":
-            types.extend(_parse_typed_list(section[1:], ":types"))
+            types.extend(_parse_typed_list(section[1:], (":types",)))
         elif key == ":predicates":
             for pred in section[1:]:
                 if not isinstance(pred, list) or not pred:
                     raise PddlSyntaxError("malformed predicate schema")
-                pname = _word(pred[0], ":predicates")
-                params = _parse_typed_list(pred[1:], f"predicate {pname}")
+                pname = _word(pred[0], (":predicates",))
+                params = _parse_typed_list(pred[1:], ("predicate", pname))
                 predicates.append(PredicateSchema(pname, params))
         elif key == ":action":
             actions.append(_parse_action(section))
@@ -252,28 +290,30 @@ def parse_domain(text: str) -> DomainAst:
 def _parse_action(section) -> ActionSchema:
     if len(section) < 2:
         raise PddlSyntaxError(":action needs a name")
-    name = _word(section[1], ":action")
+    name = _word(section[1], (":action",))
     params = ()
     pre = ()
     add, delete = (), ()
     i = 2
     while i < len(section):
-        key = _word(section[i], f"action {name}")
+        key = section[i]
+        if not isinstance(key, str):
+            raise _not_a_symbol(("action", name))
         if i + 1 >= len(section):
             raise PddlSyntaxError(f"action {name}: {key} missing a value")
         value = section[i + 1]
         if key == ":parameters":
             if not isinstance(value, list):
                 raise PddlSyntaxError(f"action {name}: :parameters must be a list")
-            params = _parse_typed_list(value, f"action {name} parameters")
+            params = _parse_typed_list(value, ("action", name, "parameters"))
         elif key == ":precondition":
-            pre = _parse_conjunction(value, f"action {name} precondition")
+            pre = _parse_conjunction(value, ("action", name, "precondition"))
         elif key == ":effect":
-            add, delete = _parse_effect(value, f"action {name} effect")
+            add, delete = _parse_effect(value, ("action", name, "effect"))
         else:
             raise UnsupportedFeatureError(f"action {name}: {key} is not supported")
         i += 2
-    return ActionSchema(name=name, params=params, pre=pre, add=add, delete=delete)
+    return ActionSchema(name, params, pre, add, delete)
 
 
 def parse_problem(text: str) -> ProblemAst:
@@ -287,19 +327,19 @@ def parse_problem(text: str) -> ProblemAst:
     for section in expr[2:]:
         if not isinstance(section, list) or not section:
             raise PddlSyntaxError("malformed problem section")
-        key = _word(section[0], "problem section")
+        key = _word(section[0], ("problem section",))
         if key == ":domain":
             if len(section) != 2:
                 raise PddlSyntaxError(":domain takes exactly one name")
-            domain = _word(section[1], ":domain")
+            domain = _word(section[1], (":domain",))
         elif key == ":objects":
-            objects = _parse_typed_list(section[1:], ":objects")
+            objects = _parse_typed_list(section[1:], (":objects",))
         elif key == ":init":
-            init = [_parse_atom(a, ":init") for a in section[1:]]
+            init = [_parse_atom(a, (":init",)) for a in section[1:]]
         elif key == ":goal":
             if len(section) != 2:
                 raise PddlSyntaxError(":goal takes exactly one formula")
-            goal = _parse_conjunction(section[1], ":goal")
+            goal = _parse_conjunction(section[1], (":goal",))
         else:
             raise UnsupportedFeatureError(f"problem section {key} is not supported")
     if domain is None:
@@ -399,37 +439,40 @@ def ground(
                 raise GroundingError(f"undefined type {typ}")
 
     fact_ids: dict = {}  # fact name -> id, in id order
+    fact_id = fact_ids.setdefault  # fact_id(name, len(fact_ids)) numbers a new name
 
-    def fact_id(key: str) -> int:
-        return fact_ids.setdefault(key, len(fact_ids))
-
-    init = mask_of(fact_id(_fact_name(a, {})) for a in problem.init)
-    goal = mask_of(fact_id(_fact_name(a, {})) for a in problem.goal)
+    init = mask_of(fact_id(_fact_name(a, {}), len(fact_ids)) for a in problem.init)
+    goal = mask_of(fact_id(_fact_name(a, {}), len(fact_ids)) for a in problem.goal)
 
     actions = []
     for schema in domain.actions:
         variables = [v for v, _ in schema.params]
+        parts = (schema.pre, schema.add, schema.delete)
         for combo in itertools.product(*(objects_by_type[t] for _, t in schema.params)):
-            binding = dict(zip(variables, combo))
-            pre, add, delete = (
-                [_fact_name(a, binding) for a in atoms]
-                for atoms in (schema.pre, schema.add, schema.delete)
-            )
-            if not set(add).isdisjoint(delete):
+            if variables:
+                binding = dict(zip(variables, combo))
+                pre, add, delete = [[_fact_name(a, binding) for a in atoms] for atoms in parts]
+                action_name = " ".join((schema.name, *(binding[v] for v in variables)))
+            else:  # the schema is its one ground action
+                pre, add, delete = [
+                    [" ".join((a.predicate, *a.args)) for a in atoms] for atoms in parts
+                ]
+                action_name = schema.name
+            if add and delete and not set(add).isdisjoint(delete):
                 continue
-            actions.append(GroundAction(
-                id=len(actions),
-                name=" ".join((schema.name, *(binding[v] for v in variables))),
-                pre=mask_of(map(fact_id, pre)),
-                add=mask_of(map(fact_id, add)),
-                delete=mask_of(map(fact_id, delete)),
-            ))
+            masks = []
+            for names in (pre, add, delete):
+                mask = 0
+                for key in names:
+                    mask |= 1 << fact_id(key, len(fact_ids))
+                masks.append(mask)
+            actions.append(GroundAction(len(actions), action_name, *masks))
 
     entries = manifest.by_action()
     names = {a.name for a in actions}
-    for entry_name in entries:
-        if entry_name not in names:
-            raise GroundingError(f"manifest entry {entry_name!r} names no ground action")
+    if not entries.keys() <= names:
+        missing = next(entry_name for entry_name in entries if entry_name not in names)
+        raise GroundingError(f"manifest entry {missing!r} names no ground action")
     found = [entries.get(a.name) for a in actions]
     true_costs = {
         i: e.true_cost for i, e in enumerate(found) if e and e.true_cost is not None

@@ -111,11 +111,14 @@ class RemoteEstimatorClient:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
-            if raw.isspace():
-                continue
-            self.wfile.write((json.dumps(self._reply(raw)) + "\n").encode("utf-8"))
-            self.wfile.flush()
+        try:
+            for raw in self.rfile:
+                if raw.isspace():
+                    continue
+                self.wfile.write((json.dumps(self._reply(raw)) + "\n").encode("utf-8"))
+                self.wfile.flush()
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # the client went away: not an error of the server's
 
     def _reply(self, raw: bytes) -> dict:
         try:

@@ -128,6 +128,7 @@ class _HmaxEvaluator:
         self.registry = registry
         self._raised_seen = len(registry.raised)
         self._cache: dict = {}  # int state -> (h, support mask)
+        self._floor: dict = {}  # int state -> its h when its cache entry was dropped
 
     def __call__(self, state: int) -> float:
         if len(self.registry.raised) > self._raised_seen:
@@ -137,13 +138,36 @@ class _HmaxEvaluator:
             entry = self._cache[state] = self._evaluate(state)
         return entry[0]
 
+    def bound(self, state: int) -> tuple:
+        """(h, True) when h is known without computing it, else (a lower bound, False).
+
+        The bound is the h the state had when its cache entry was dropped, or
+        0: lbs only rise and h_max is monotone in them, so h never falls. A
+        goal state's h is 0.
+        """
+        if len(self.registry.raised) > self._raised_seen:
+            self._drop_stale()
+        entry = self._cache.get(state)
+        if entry is not None:
+            return entry[0], True
+        goal = self.task.goal
+        if state & goal == goal:
+            return 0.0, True
+        return self._floor.get(state, 0.0), False
+
     def _drop_stale(self) -> None:
         raised = self.registry.raised
         stale = 0
         for action_id in raised[self._raised_seen:]:
             stale |= 1 << action_id
         self._raised_seen = len(raised)
-        self._cache = {s: e for s, e in self._cache.items() if not e[1] & stale}
+        kept, floor = {}, self._floor
+        for s, e in self._cache.items():
+            if e[1] & stale:
+                floor[s] = e[0]
+            else:
+                kept[s] = e
+        self._cache = kept
 
     def _evaluate(self, state: int) -> tuple:
         """(h, support mask) of a state, computed from scratch."""
@@ -255,18 +279,37 @@ def astar_lb(task: PlanningTask, registry: EstimatorRegistry, heuristic) -> tupl
     facts in ascending id order, each fact's group in action id order (see
     ``PlanningTask.groups``). Nothing is memoized here: the heuristic is the
     only cache of h values.
+
+    A heuristic with a ``bound`` method (h_max) is evaluated lazily: a
+    successor whose h is not known yet is queued on ``g`` plus a lower bound
+    of h and evaluated only when popped. If its exact key is then later than
+    the heap's top, it goes back with its original tie number, so states are
+    expanded in exactly the ``(g + h, tie)`` order of evaluating every
+    successor at push, which a heuristic without ``bound`` still does.
     """
     init, goal, groups = task.init, task.goal, task.groups
     lbs = registry.lbs
+    bound = getattr(heuristic, "bound", None)
     push, pop = heapq.heappush, heapq.heappop
     counter = itertools.count()
     best_g = {init: 0.0}
-    open_heap = [(heuristic(init), next(counter), 0.0, init, None)]
+    h = heuristic(init)
+    open_heap = [(h, next(counter), 0.0, init, None, h)]  # h is None until evaluated
     expansions = 0
     while open_heap:
-        _, _, g, state, node = pop(open_heap)
+        f, tie, g, state, node, h = pop(open_heap)
         if g > best_g[state]:
             continue  # stale entry
+        if h is None:
+            h = heuristic(state)
+            if math.isinf(h):
+                continue
+            f = g + h
+            if open_heap:
+                top = open_heap[0]
+                if f > top[0] or f == top[0] and tie > top[1]:
+                    push(open_heap, (f, tie, g, state, node, h))
+                    continue
         if state & goal == goal:
             plan = []
             while node is not None:
@@ -284,10 +327,14 @@ def astar_lb(task: PlanningTask, registry: EstimatorRegistry, heuristic) -> tupl
                 g2 = g + lbs[action_id]
                 if g2 < best_g.get(succ, INF) - TOLERANCE:
                     best_g[succ] = g2
-                    h = heuristic(succ)
-                    if math.isinf(h):
+                    if bound is None:
+                        h = low_h = heuristic(succ)
+                    else:
+                        low_h, exact = bound(succ)
+                        h = low_h if exact else None
+                    if math.isinf(low_h):
                         continue
-                    push(open_heap, (g2 + h, next(counter), g2, succ, (action_id, node)))
+                    push(open_heap, (g2 + low_h, next(counter), g2, succ, (action_id, node), h))
             if not rest:
                 break
             low = rest & -rest  # the state's next fact, ascending

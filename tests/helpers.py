@@ -1,5 +1,5 @@
 """Shared builders for hand-constructed tasks and randomized suites, and the
-STRIPS and h_max references the program's own search is checked against."""
+STRIPS, A* and h_max references the program's own search is checked against."""
 
 import heapq
 import itertools
@@ -167,6 +167,47 @@ def reference_astar_lb(task, registry, heuristic):
                     continue
                 succ = (state - delete) | add
                 g2 = g + registry.lbs[action_id]
+                if g2 < best_g.get(succ, INF) - TOLERANCE:
+                    best_g[succ] = g2
+                    h = heuristic(succ)
+                    if math.isinf(h):
+                        continue
+                    heapq.heappush(
+                        open_heap, (g2 + h, next(counter), g2, succ, (action_id, node))
+                    )
+    return None, expansions
+
+
+def eager_astar_lb(task, registry, heuristic):
+    """search.astar_lb with every successor's h evaluated when it is pushed:
+    the reference its lazy evaluation of h_max must match replan for replan.
+
+    Returns (plan or None, expansions); the same int states, successor order
+    and FIFO tie-breaking on equal f as search.astar_lb.
+    """
+    init, goal, groups = task.init, task.goal, task.groups
+    lbs = registry.lbs
+    counter = itertools.count()
+    best_g = {init: 0.0}
+    open_heap = [(heuristic(init), next(counter), 0.0, init, None)]
+    expansions = 0
+    while open_heap:
+        _, _, g, state, node = heapq.heappop(open_heap)
+        if g > best_g[state]:
+            continue
+        if state & goal == goal:
+            plan = []
+            while node is not None:
+                action_id, node = node
+                plan.append(action_id)
+            return tuple(reversed(plan)), expansions
+        expansions += 1
+        for group in (groups[0], *(groups[f + 1] for f in facts_of(state))):
+            for action_id, pre, keep, add in group:
+                if state & pre != pre:
+                    continue
+                succ = state & keep | add
+                g2 = g + lbs[action_id]
                 if g2 < best_g.get(succ, INF) - TOLERANCE:
                     best_g[succ] = g2
                     h = heuristic(succ)

@@ -3,6 +3,7 @@ import json
 import math
 import socket
 import socketserver
+import struct
 import time
 import warnings
 
@@ -94,6 +95,26 @@ def test_non_utf8_request_is_error_reply_and_keeps_the_connection(drive_server):
         with sock.makefile("rb") as fh:
             replies = [json.loads(fh.readline()) for _ in range(2)]
     assert replies == [{"error": "malformed request"}, {"lb": 5.0, "ub": 10.0, "time_ms": 1.0}]
+
+
+def test_client_reset_ends_its_connection_quietly(drive_server, monkeypatch):
+    # each client queues requests, then resets its connection (SO_LINGER 0)
+    # while the server is still answering: no traceback, and the server serves on
+    errors = []
+    monkeypatch.setattr(drive_server, "handle_error", lambda *args: errors.append(args))
+    requests = (json.dumps({"action": "drive a b", "level": 1}) + "\n").encode() * 2_000
+    for _ in range(5):
+        sock = socket.create_connection(("127.0.0.1", drive_server.port), timeout=5)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.sendall(requests)
+        sock.close()
+    deadline = time.monotonic() + 10
+    while drive_server.closed < 5 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert drive_server.closed == 5  # every handler has returned
+    assert errors == []
+    reply = raw_request(drive_server, json.dumps({"action": "drive a b", "level": 1}))
+    assert reply == {"lb": 5.0, "ub": 10.0, "time_ms": 1.0}
 
 
 def test_level_out_of_range(drive_server):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import logging
@@ -35,6 +36,7 @@ from conftest import ACCEPTANCE_INSTANCES
 from helpers import (
     acceptance_instance,
     decode,
+    eager_astar_lb,
     hmax,
     is_goal,
     make_task,
@@ -437,6 +439,124 @@ def test_astar_matches_frozenset_reference_on_acceptance_instances(heuristic):
                 assert (plan, expansions) == (ref_plan, ref_expansions)
             compared += 1
     assert compared == 3 * ACCEPTANCE_INSTANCES
+
+
+# ---------------------------------------------------------------------------
+# Lazy h_max in A*: evaluated at pop, states expanded in the eager order
+
+
+def _count_evaluations(monkeypatch) -> collections.Counter:
+    """Count each h_max evaluator's fresh computations, by evaluator."""
+    evaluated = collections.Counter()
+    evaluate = search._HmaxEvaluator._evaluate
+
+    def counted(self, state):
+        evaluated[self] += 1
+        return evaluate(self, state)
+
+    monkeypatch.setattr(search._HmaxEvaluator, "_evaluate", counted)
+    return evaluated
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.5])
+@pytest.mark.parametrize("suite", ["acceptance-grids", "logistics-1t3c2p"])
+def test_lazy_astar_replans_equal_eager_ones_with_no_more_evaluations(monkeypatch, suite, eps):
+    """Every replan of an asec episode gives the (plan, expansions) of eager
+    A* on the same lbs, whose h_max evaluator persists across the episode as
+    the lazy one does; the lazy evaluator computes no more h values."""
+    if suite == "acceptance-grids":  # acceptance_instance's gridworlds
+        tasks = [acceptance_instance(i, seed=i) for i in range(0, ACCEPTANCE_INSTANCES, 2)]
+    else:
+        tasks = [_cold_logistics_task()]
+    evaluated = _count_evaluations(monkeypatch)
+    lazy_astar = search.astar_lb
+    eager = {}  # registry -> the episode's eager evaluator
+    replans = 0
+
+    def checked(task, registry, heuristic):
+        nonlocal replans
+        if registry not in eager:
+            eager[registry] = make_heuristic("hmax", task, registry)
+        result = lazy_astar(task, registry, heuristic)
+        assert result == eager_astar_lb(task, registry, eager[registry])
+        replans += 1
+        return result
+
+    monkeypatch.setattr(search, "astar_lb", checked)
+    fewer = 0
+    for task in tasks:
+        evaluated.clear()
+        solve(task, SearchConfig(epsilon=eps))
+        (registry, eager_h), = eager.items()
+        eager.clear()
+        lazy = sum(n for evaluator, n in evaluated.items() if evaluator is not eager_h)
+        assert lazy <= evaluated[eager_h]
+        fewer += lazy < evaluated[eager_h]
+    assert replans > 2 * len(tasks) and fewer > 0
+
+
+def _lazy_astar_evaluating(task, registry, evaluator):
+    """Run astar_lb; return its result and the states h_max computed, in order."""
+    computed = []
+    evaluate = evaluator._evaluate
+    evaluator._evaluate = lambda state: computed.append(state) or evaluate(state)
+    try:
+        return astar_lb(task, registry, evaluator), computed
+    finally:
+        del evaluator._evaluate
+
+
+def test_lazy_astar_never_evaluates_a_successor_it_never_pops():
+    # init -> A (lb 1, then 5 to the goal), B (lb 2, then 1), C (lb 10, then 0).
+    # Unevaluated successors wait on g: A is popped first and, at f = 6, goes
+    # back behind B; B reaches the goal at 3, and C's g of 10 is never popped.
+    task = make_task(
+        [
+            ("a", {0}, {1}, {0}, []), ("b", {0}, {2}, {0}, []), ("c", {0}, {3}, {0}, []),
+            ("a-goal", {1}, {9}, {1}, []), ("b-goal", {2}, {9}, {2}, []),
+            ("c-goal", {3}, {9}, {3}, []),
+        ],
+        goal={9},
+        priors={0: (1, 1), 1: (2, 2), 2: (10, 10), 3: (5, 5), 4: (1, 1), 5: (0, 0)},
+    )
+    registry = EstimatorRegistry(task)
+    evaluator = make_heuristic("hmax", task, registry)
+    (plan, expansions), computed = _lazy_astar_evaluating(task, registry, evaluator)
+    assert (plan, expansions) == ((1, 4), 2)  # init and B expanded, A never
+    assert computed == [mask_of({0}), mask_of({1}), mask_of({2})]  # not C, not the goal
+    eager = make_heuristic("hmax", task, registry)
+    assert eager_astar_lb(task, registry, eager) == (plan, expansions)
+
+
+def test_lazy_astar_queues_a_dropped_state_on_its_old_h():
+    # x, y, z lead from init to X, Y, Z; X and Z reach the goal through
+    # x-goal, whose lb rises from 2 to 8 after the first replan.
+    task = make_task(
+        [
+            ("x", {0}, {1}, {0}, []), ("y", {0}, {2}, {0}, []), ("z", {0}, {3}, {0}, []),
+            ("x-goal", {1}, {4}, {1}, [(1.0, (8.0, 8.0))]), ("y-goal", {2}, {4}, {2}, []),
+            ("z-x", {3}, {1}, {3}, []),
+        ],
+        goal={4},
+        priors={0: (1, 1), 1: (2, 2), 2: (1, 1), 3: (2, 10), 4: (3, 3), 5: (3, 3)},
+    )
+    x, y, z = mask_of({1}), mask_of({2}), mask_of({3})
+    registry = EstimatorRegistry(task)
+    evaluator = make_heuristic("hmax", task, registry)
+    # Replan 1 pops and evaluates all three (h 2, 3, 5) and plans via X.
+    (plan, expansions), computed = _lazy_astar_evaluating(task, registry, evaluator)
+    assert (plan, expansions) == ((0, 3), 2)
+    assert sorted(computed) == sorted([task.init, x, y, z])
+    registry.invoke_next(3)  # x-goal: [2, 10] -> [8, 8]
+    # X and Z lean on x-goal, so their values go; each keeps its old h as a bound.
+    assert [evaluator.bound(s) for s in (x, y, z)] == [(2.0, False), (3.0, True), (5.0, False)]
+    # Replan 2: X waits on 1 + 2, is evaluated when popped (h 8) and goes back
+    # behind Y's exact 5; Y reaches the goal at 5; Z, queued on 1 + 5, is never popped.
+    (plan, expansions), computed = _lazy_astar_evaluating(task, registry, evaluator)
+    assert (plan, expansions) == ((1, 4), 2)
+    assert computed == [task.init, x]
+    eager = make_heuristic("hmax", task, registry)
+    assert eager_astar_lb(task, registry, eager) == (plan, expansions)
 
 
 def test_asec_replans_once_per_estimator_call(monkeypatch):
